@@ -778,18 +778,19 @@ func BenchmarkGreedyStableScanNoPrune1k(b *testing.B) { benchmarkGreedyStableSca
 // equilibria the sweep converges to, and the shape equilibrium
 // re-verification hammers n times per round. The scanned agent is the
 // hub of a SpokeProfile (direct edges to everyone, owned by the
-// leaves), so with candidate generation ON the excess certificate
-// resolves the scan in O(log n) — nearest-neighbor price floor, cached
-// traffic floor, no candidate enumeration. The Pruned variant runs the
-// identical workload with candidate generation OFF: the pruned
-// exhaustive scan still builds the gain bounds and sweeps all n
-// candidates. benchdiff -speedup floors Geo10k at ≥5x over Pruned10k
-// in CI.
+// leaves), so on the point host the excess certificate resolves the
+// scan in O(log n) — nearest-neighbor price floor, cached traffic
+// floor, no candidate enumeration. The Pruned variant runs the
+// identical workload with the host's capabilities hidden behind
+// sourcelessSpace: the pruned exhaustive scan still builds the gain
+// bounds and sweeps all n candidates. benchdiff -speedup floors Geo10k
+// at ≥5x over Pruned10k in CI.
 func benchmarkBestSingleMoveGeo(b *testing.B, n int, candidates bool) {
-	was := game.CandidateGenerationEnabled()
-	game.SetCandidateGeneration(candidates)
-	defer game.SetCandidateGeneration(was)
-	g := game.New(game.NewHost(gen.Points(7, n, 2, 1000, 2)), 16*float64(n))
+	var space metric.Space = gen.Points(7, n, 2, 1000, 2)
+	if !candidates {
+		space = sourcelessSpace{space}
+	}
+	g := game.New(game.NewHost(space), 16*float64(n))
 	s := game.NewState(g, game.SpokeProfile(n, 0))
 	// One warm scan so the measured loop times the steady-state scan:
 	// distance row cached, traffic floor cached, kd-tree built.
@@ -799,6 +800,10 @@ func benchmarkBestSingleMoveGeo(b *testing.B, n int, candidates bool) {
 		_, _, _ = s.BestSingleMove(0)
 	}
 }
+
+// sourcelessSpace hides every capability of the wrapped space, so
+// BestSingleMove on it runs the exhaustive pruned tier.
+type sourcelessSpace struct{ metric.Space }
 
 func BenchmarkBestSingleMovePruned10k(b *testing.B) { benchmarkBestSingleMoveGeo(b, 10000, false) }
 func BenchmarkBestSingleMoveGeo10k(b *testing.B)    { benchmarkBestSingleMoveGeo(b, 10000, true) }

@@ -12,9 +12,10 @@ import (
 	"gncg/internal/sweep"
 )
 
-// TestMain doubles as the experiments binary: the coordinate subcommand
-// re-executes os.Executable(), which under `go test` is the test binary,
-// so the child-mode env var routes those subprocesses into main().
+// TestMain doubles as the experiments binary: serve launches its local
+// `work` shards by re-executing os.Executable(), which under `go test` is
+// the test binary, so the child-mode env var routes those subprocesses
+// into main().
 func TestMain(m *testing.M) {
 	if os.Getenv("GNCG_EXPERIMENTS_CHILD") == "1" {
 		main()
@@ -166,111 +167,6 @@ func TestMergeSubcommandRoundTrip(t *testing.T) {
 	}
 	if string(gotCSV) != refCSV.String() {
 		t.Fatal("merged CSV differs from unsharded run")
-	}
-}
-
-// TestCoordinateSubcommand drives the shard-launch coordinator end to
-// end: `coordinate -shards 3` (which re-executes this test binary in
-// child mode K times) must produce JSON byte-identical both to an
-// unsharded in-process run and to manually-launched shards piped through
-// the merge subcommand, keep the per-shard files it is asked to keep,
-// and emit per-experiment wide CSVs.
-func TestCoordinateSubcommand(t *testing.T) {
-	t.Setenv("GNCG_EXPERIMENTS_CHILD", "1")
-	exps := selectCheap(t)
-	ref, err := sweep.Run(exps, sweep.Config{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var refJSON bytes.Buffer
-	if err := ref.EncodeJSON(&refJSON); err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	const shards = 3
-	var manualFiles []string
-	for shard := 0; shard < shards; shard++ {
-		rs, err := sweep.Run(exps, sweep.Config{Quick: true, Shards: shards, Shard: shard})
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, fmt.Sprintf("manual%d.json", shard))
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rs.EncodeJSON(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		manualFiles = append(manualFiles, path)
-	}
-	manualOut := filepath.Join(dir, "manual-merged.json")
-	var stderr bytes.Buffer
-	if code := mergeMain(append([]string{"-out", manualOut}, manualFiles...), &stderr); code != 0 {
-		t.Fatalf("mergeMain exited %d: %s", code, stderr.String())
-	}
-
-	coordOut := filepath.Join(dir, "coord.json")
-	shardDir := filepath.Join(dir, "shards")
-	wideDir := filepath.Join(dir, "wide")
-	stderr.Reset()
-	code := coordinateMain([]string{
-		"-shards", fmt.Sprint(shards), "-quick", "-run", cheapSelection,
-		"-out", coordOut, "-shard-dir", shardDir, "-wide", wideDir,
-	}, &stderr)
-	if code != 0 {
-		t.Fatalf("coordinateMain exited %d: %s", code, stderr.String())
-	}
-
-	coordJSON, err := os.ReadFile(coordOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(coordJSON) != refJSON.String() {
-		t.Fatal("coordinate output differs from unsharded run")
-	}
-	manualJSON, err := os.ReadFile(manualOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(coordJSON) != string(manualJSON) {
-		t.Fatal("coordinate output differs from manual shards piped through merge")
-	}
-	// The kept shard files are the real subprocess outputs and must match
-	// the manual in-process shard runs byte-for-byte.
-	for shard := 0; shard < shards; shard++ {
-		got, err := os.ReadFile(filepath.Join(shardDir, fmt.Sprintf("shard-%d.json", shard)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := os.ReadFile(manualFiles[shard])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != string(want) {
-			t.Fatalf("coordinate shard %d differs from manual shard run", shard)
-		}
-	}
-	for _, e := range exps {
-		csvPath := filepath.Join(wideDir, e.Name+".csv")
-		if _, err := os.Stat(csvPath); err != nil {
-			t.Errorf("wide CSV missing for %s: %v", e.Name, err)
-		}
-	}
-}
-
-func TestCoordinateSubcommandErrors(t *testing.T) {
-	var stderr bytes.Buffer
-	if code := coordinateMain([]string{"-shards", "0"}, &stderr); code != 2 {
-		t.Fatalf("coordinate -shards 0 exited %d, want 2", code)
-	}
-	stderr.Reset()
-	if code := coordinateMain([]string{"-run", "no-such-exp"}, &stderr); code != 2 {
-		t.Fatalf("coordinate with bad selector exited %d, want 2", code)
 	}
 }
 

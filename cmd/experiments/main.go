@@ -21,8 +21,6 @@
 //
 //	experiments merge -out merged.json shard0.json shard1.json ...
 //	                                   # combine shard outputs (sweep.Merge)
-//	experiments coordinate -shards 4 -out merged.json
-//	                                   # launch 4 shard subprocesses and merge
 //	experiments serve -job dir/ -shards 4 -out merged.json
 //	                                   # durable work-stealing run: journal,
 //	                                   # lease protocol, /status endpoint
@@ -36,55 +34,23 @@
 // any worker count. The merge subcommand decodes shard JSON files,
 // deduplicates and reorders cells by global sequence number (failing
 // loudly if the inputs disagree on a cell's parameters), and re-encodes —
-// no manual JSON surgery required. The coordinate subcommand automates
-// the whole workflow in one invocation: it re-executes this binary K
-// times with static shard assignment (`-shards K -shard i` over the
-// deterministic cell sequence), collects the shard JSON, and merges.
+// no manual JSON surgery required. The serve subcommand runs the whole
+// workflow in one invocation: it launches local `work` shard processes
+// that lease cells from a durable job store, and writes the merged
+// output on completion.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
-	"time"
 
-	"gncg/internal/game"
 	"gncg/internal/sweep"
 )
-
-// applyCandidateMode resolves the geometric candidate-generation toggle
-// from, in precedence order, the -candidates flag, the GNCG_CANDIDATES
-// environment variable, and the built-in default (on), applies it
-// process-wide, and re-exports the resolved mode into the environment so
-// shard and worker subprocesses (coordinate, serve, work) inherit it —
-// an A/B sweep stays in one mode across every process it spawns.
-func applyCandidateMode(flagVal string) error {
-	mode := flagVal
-	if mode == "" {
-		mode = os.Getenv("GNCG_CANDIDATES")
-	}
-	switch mode {
-	case "":
-		mode = "on"
-	case "on", "off":
-	default:
-		return fmt.Errorf("invalid -candidates mode %q (want on or off)", mode)
-	}
-	game.SetCandidateGeneration(mode == "on")
-	return os.Setenv("GNCG_CANDIDATES", mode)
-}
-
-// candidatesFlag registers the shared -candidates flag spelling on a
-// subcommand flag set.
-func candidatesFlag(fs *flag.FlagSet) *string {
-	return fs.String("candidates", "", "geometric candidate generation: on or off (default: $GNCG_CANDIDATES, else on)")
-}
 
 // registerOnce guards the global registry: main registers exactly once,
 // and tests can call ensureRegistered freely.
@@ -97,8 +63,6 @@ func main() {
 		switch os.Args[1] {
 		case "merge":
 			os.Exit(mergeMain(os.Args[2:], os.Stderr))
-		case "coordinate":
-			os.Exit(coordinateMain(os.Args[2:], os.Stderr))
 		case "serve":
 			os.Exit(serveMain(os.Args[2:], os.Stderr))
 		case "work":
@@ -116,13 +80,8 @@ func main() {
 	widePath := flag.String("wide", "", "write wide-format CSV results (one <experiment>.csv per experiment) into this directory")
 	tables := flag.Bool("tables", true, "render result tables to stdout")
 	progress := flag.Bool("progress", false, "report per-cell progress on stderr")
-	candidates := flag.String("candidates", "", "geometric candidate generation: on or off (default: $GNCG_CANDIDATES, else on)")
 	flag.Parse()
 
-	if err := applyCandidateMode(*candidates); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	ensureRegistered()
 
 	if *list {
@@ -216,191 +175,38 @@ func mergeMain(args []string, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "-out - and -csv - cannot share stdout")
 		return 2
 	}
-	merged, code := mergeFiles(files, stderr)
-	if code != 0 {
-		return code
-	}
-	if err := writeResults(merged, *outPath, *csvPath, *widePath); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	return 0
-}
-
-// mergeFiles decodes shard JSON files, merges them (failing loudly on
-// disagreeing cells) and restores rendering metadata from the registry —
-// the shared tail of the merge and coordinate subcommands. On failure it
-// reports to stderr and returns a nonzero exit code.
-func mergeFiles(files []string, stderr io.Writer) (*sweep.ResultSet, int) {
 	var sets []*sweep.ResultSet
 	for _, path := range files {
 		f, err := os.Open(path)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
-			return nil, 1
+			return 1
 		}
 		rs, err := sweep.DecodeJSON(f)
 		f.Close()
 		if err != nil {
 			fmt.Fprintf(stderr, "%s: %v\n", path, err)
-			return nil, 1
+			return 1
 		}
 		sets = append(sets, rs)
 	}
 	merged, err := sweep.Merge(sets...)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
-		return nil, 1
+		return 1
 	}
 	// The interchange format strips rendering metadata; wide-CSV schemas
 	// come back from the registry.
 	ensureRegistered()
 	merged.AttachMeta()
-	return merged, 0
-}
-
-// coordinateMain implements the coordinate subcommand: the shard-launch
-// coordinator the sharding workflow previously left to hand-rolled CI
-// matrices. It re-executes this binary as K shard subprocesses with
-// static assignment over the deterministic cell sequence (`-shards K
-// -shard i`), collects their JSON, and merges — so the output is
-// byte-identical to an unsharded run of the same selection.
-func coordinateMain(args []string, stderr io.Writer) int {
-	fs := flag.NewFlagSet("coordinate", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	shards := fs.Int("shards", 2, "number of shard subprocesses to launch")
-	quick := fs.Bool("quick", false, "smaller size ladders")
-	run := fs.String("run", "", "comma-separated experiment names and/or tags (default: all)")
-	workers := fs.Int("workers", 0, "worker goroutines per shard (0 = GOMAXPROCS each; beware oversubscription)")
-	outPath := fs.String("out", "", "write merged JSON to this file ('-' = stdout)")
-	csvPath := fs.String("csv", "", "write merged long-format CSV to this file ('-' = stdout)")
-	widePath := fs.String("wide", "", "write merged wide-format CSV (one <experiment>.csv per experiment) into this directory")
-	shardDir := fs.String("shard-dir", "", "keep per-shard JSON files (shard-<i>.json) in this directory (default: a temp dir, removed)")
-	progress := fs.Bool("progress", false, "shards report per-cell progress on stderr")
-	candidates := candidatesFlag(fs)
-	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: experiments coordinate -shards K [-quick] [-run spec] [-out merged.json] [-csv merged.csv] [-wide dir] [selector...]")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *shards < 1 {
-		fmt.Fprintf(stderr, "coordinate: -shards %d out of range\n", *shards)
-		return 2
-	}
-	if err := applyCandidateMode(*candidates); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	if *outPath == "-" && *csvPath == "-" {
-		fmt.Fprintln(stderr, "-out - and -csv - cannot share stdout")
-		return 2
-	}
-	spec := *run
-	if rest := fs.Args(); len(rest) > 0 {
-		if spec != "" {
-			spec += ","
-		}
-		spec += strings.Join(rest, ",")
-	}
-	// Validate the selection up front: a bad selector should fail once
-	// here, not K times in the children.
-	ensureRegistered()
-	if _, err := sweep.Select(spec); err != nil {
-		fmt.Fprintf(stderr, "%v (use -list)\n", err)
-		return 2
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		fmt.Fprintf(stderr, "coordinate: cannot locate own binary: %v\n", err)
-		return 1
-	}
-	dir := *shardDir
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "gncg-shards-")
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
-	} else if err := os.MkdirAll(dir, 0o755); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-
-	// The K children stream diagnostics live, one "[shard N]"-prefixed
-	// line at a time, onto one serialized writer — long sweeps stay
-	// observable while running. A crashed child is retried with bounded
-	// backoff (the shard is a deterministic pure function of its index,
-	// so a rerun reproduces it exactly); a child exiting 1 wrote its
-	// results but carried a failed cell, which retrying cannot change, so
-	// it is not relaunched.
-	out := &lockedWriter{w: stderr}
-	files := make([]string, *shards)
-	errs := make([]error, *shards)
-	var wg sync.WaitGroup
-	for i := 0; i < *shards; i++ {
-		files[i] = filepath.Join(dir, fmt.Sprintf("shard-%d.json", i))
-		cargs := []string{
-			"-run", spec, "-tables=false",
-			"-shards", fmt.Sprint(*shards), "-shard", fmt.Sprint(i),
-			"-workers", fmt.Sprint(*workers),
-			"-out", files[i],
-		}
-		if *quick {
-			cargs = append(cargs, "-quick")
-		}
-		if *progress {
-			cargs = append(cargs, "-progress")
-		}
-		wg.Add(1)
-		go func(i int, cargs []string) {
-			defer wg.Done()
-			errs[i] = superviseChild(childSpec{
-				exe: exe, args: cargs, prefix: fmt.Sprintf("[shard %d] ", i), out: out,
-				attempts: 3, backoff: 500 * time.Millisecond,
-				noRetryExit: []int{1, 2},
-			})
-		}(i, cargs)
-	}
-	wg.Wait()
-	failed := false
-	for i, err := range errs {
-		if err != nil {
-			// Exit 1 means the shard's results were written but carry a
-			// failed cell; the merged FirstErr below reports it properly.
-			// Any other failure (still crashing after retries) is fatal.
-			var ee *exec.ExitError
-			if errors.As(err, &ee) && ee.ExitCode() == 1 {
-				failed = true
-				continue
-			}
-			fmt.Fprintf(stderr, "coordinate: shard %d: %v\n", i, err)
-			return 1
-		}
-	}
-	merged, code := mergeFiles(files, stderr)
-	if code != 0 {
-		return code
-	}
 	if err := writeResults(merged, *outPath, *csvPath, *widePath); err != nil {
 		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	if err := merged.FirstErr(); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	if failed {
-		fmt.Fprintln(stderr, "coordinate: a shard exited 1 but the merged set carries no failed cell")
 		return 1
 	}
 	return 0
 }
 
-// lockedWriter serializes concurrent writers (the coordinator's shard
+// lockedWriter serializes concurrent writers (serve's local shard
 // subprocesses) onto one underlying stream.
 type lockedWriter struct {
 	mu sync.Mutex

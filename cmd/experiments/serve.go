@@ -45,7 +45,6 @@ func serveMain(args []string, stderr io.Writer) int {
 	widePath := fs.String("wide", "", "write merged wide-format CSV (one <experiment>.csv per experiment) into this directory")
 	progress := fs.Bool("progress", false, "report scheduling and per-cell progress on stderr")
 	linger := fs.Duration("linger", 0, "keep /status and /results up this long after completion (POST /shutdown ends it early)")
-	candidates := candidatesFlag(fs)
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "usage: experiments serve -job DIR [-resume] [-shards K] [-listen addr] [-run spec] [-quick] [-out merged.json] [selector...]")
 		fs.PrintDefaults()
@@ -56,10 +55,6 @@ func serveMain(args []string, stderr io.Writer) int {
 	if *jobDir == "" {
 		fmt.Fprintln(stderr, "serve: -job DIR is required (the journal is the whole point)")
 		fs.Usage()
-		return 2
-	}
-	if err := applyCandidateMode(*candidates); err != nil {
-		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	spec := *run
@@ -229,7 +224,6 @@ func workMain(args []string, stderr io.Writer) int {
 	workers := fs.Int("workers", 0, "worker goroutines for cells of one lease (0 = GOMAXPROCS)")
 	batch := fs.Int("batch", 0, "max cells to request per lease (0 = coordinator's policy)")
 	progress := fs.Bool("progress", false, "report per-lease progress on stderr")
-	candidates := candidatesFlag(fs)
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "usage: experiments work -connect host:port [-name shard-X] [-workers N]")
 		fs.PrintDefaults()
@@ -241,19 +235,11 @@ func workMain(args []string, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if err := applyCandidateMode(*candidates); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
 	if *name == "" {
 		*name = fmt.Sprintf("worker-%d", os.Getpid())
 	}
 	opts := coord.WorkerOptions{
-		Name: *name, Workers: *workers, Batch: *batch,
-		Resolve: func(spec string, quick bool) ([]sweep.Experiment, error) {
-			ensureRegistered()
-			return sweep.Select(spec)
-		},
+		Name: *name, Workers: *workers, Batch: *batch, Resolve: resolveSelection,
 	}
 	if *progress {
 		opts.Logf = func(format string, args ...any) { fmt.Fprintf(stderr, format+"\n", args...) }
@@ -265,7 +251,14 @@ func workMain(args []string, stderr io.Writer) int {
 	return 0
 }
 
-// childSpec describes one supervised subprocess of a coordinator.
+// resolveSelection maps a job's selection back to registered
+// experiments for coord.RunWorker.
+func resolveSelection(spec string, quick bool) ([]sweep.Experiment, error) {
+	ensureRegistered()
+	return sweep.Select(spec)
+}
+
+// childSpec describes one supervised subprocess of serve.
 type childSpec struct {
 	exe    string
 	args   []string
@@ -279,9 +272,6 @@ type childSpec struct {
 	// done suppresses restarts once closed (job complete; a child dying
 	// after the last report is not a failure).
 	done <-chan struct{}
-	// noRetryExit lists exit codes that are deterministic outcomes, not
-	// crashes: retrying them cannot change anything.
-	noRetryExit []int
 }
 
 // superviseChild runs a child with live line-prefixed diagnostics and
@@ -317,13 +307,6 @@ func superviseChild(spec childSpec) error {
 		if firstErr == nil {
 			firstErr = err
 			firstDiag = pw.Captured()
-		}
-		if ee, ok := err.(*exec.ExitError); ok {
-			for _, code := range spec.noRetryExit {
-				if ee.ExitCode() == code {
-					return failure(firstErr, firstDiag)
-				}
-			}
 		}
 		select {
 		case <-spec.done:

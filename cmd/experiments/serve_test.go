@@ -121,12 +121,8 @@ func TestServeKillResume(t *testing.T) {
 
 	// Stage partial progress through the real lease protocol: an external
 	// worker with a 2-lease budget journals a few cells and exits.
-	resolve := func(spec string, quick bool) ([]sweep.Experiment, error) {
-		ensureRegistered()
-		return sweep.Select(spec)
-	}
 	if err := coord.RunWorker(addr, coord.WorkerOptions{
-		Name: "stager", Resolve: resolve, MaxLeases: 2, Batch: 2,
+		Name: "stager", Resolve: resolveSelection, MaxLeases: 2, Batch: 2,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -184,6 +180,47 @@ func TestServeKillResume(t *testing.T) {
 	}
 	if len(snapSet.Cells) != staged {
 		t.Fatalf("snapshot holds %d cells, crashed run had journaled %d", len(snapSet.Cells), staged)
+	}
+}
+
+// TestServeExternalWorkerExitsCleanly: a serve with no local shards and
+// no -linger exits as soon as the job completes. The external worker
+// that reports the last cell must exit cleanly alongside it instead of
+// chasing the closed coordinator with another lease, and the output must
+// be byte-identical to the unsharded run.
+func TestServeExternalWorkerExitsCleanly(t *testing.T) {
+	t.Setenv("GNCG_EXPERIMENTS_CHILD", "1")
+	refJSON, _ := refServe(t)
+	dir := t.TempDir()
+	jobDir := filepath.Join(dir, "job")
+	out := filepath.Join(dir, "out.json")
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var serveLog bytes.Buffer
+	cmd := exec.Command(exe, "serve", "-job", jobDir, "-shards", "0",
+		"-quick", "-run", cheapSelection, "-out", out)
+	cmd.Stderr = &serveLog
+	cmd.Stdout = &serveLog
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill()
+
+	addr := waitForAddr(t, jobDir, &serveLog)
+	if err := coord.RunWorker(addr, coord.WorkerOptions{Name: "external", Resolve: resolveSelection}); err != nil {
+		t.Fatalf("external worker: %v", err)
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("serve: %v\n%s", err, serveLog.String())
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != refJSON {
+		t.Fatal("serve output differs from unsharded run")
 	}
 }
 

@@ -32,7 +32,6 @@ import (
 	"strconv"
 	"strings"
 
-	"gncg/internal/game"
 	"gncg/internal/poa"
 	"gncg/internal/report"
 )
@@ -44,18 +43,7 @@ func main() {
 	alphasFlag := flag.String("alphas", "1,4", "comma-separated alpha grid")
 	sizesFlag := flag.String("sizes", "4,8,16", "comma-separated size ladder (n, d or N per family)")
 	verifyWorkers := flag.Int("verify-workers", 1, "equilibrium-verification workers per cell (0 = GOMAXPROCS); raises the greedy tier's size cutoff ~sqrt(workers)")
-	candidates := flag.String("candidates", "", "geometric candidate generation: on or off (default: $GNCG_CANDIDATES, else on)")
 	flag.Parse()
-	switch mode := *candidates; {
-	case mode == "":
-		if env := os.Getenv("GNCG_CANDIDATES"); env == "off" {
-			game.SetCandidateGeneration(false)
-		}
-	case mode == "on" || mode == "off":
-		game.SetCandidateGeneration(mode == "on")
-	default:
-		fail(fmt.Errorf("invalid -candidates mode %q (want on or off)", mode))
-	}
 	if *csvOut {
 		fmt.Println("family,alpha,size,ratio,predicted,tier,stable,verify_workers,cert_skipped")
 	}

@@ -33,7 +33,7 @@ type WorkerOptions struct {
 
 // RunWorker connects to a coordinator, verifies it computes the same
 // cell enumeration, and loops lease → execute → report with heartbeats
-// until the coordinator declares the job done. Transient transport
+// until a lease or report reply declares the job done. Transient transport
 // errors are retried with backoff; a coordinator that stays unreachable
 // makes the worker exit with an error (an orphan must not spin forever
 // after its coordinator is SIGKILLed).
@@ -112,11 +112,15 @@ func RunWorker(addr string, opts WorkerOptions) error {
 		for _, c := range rs.Cells {
 			req.Cells = append(req.Cells, json.RawMessage(sweep.CellJSON(c)))
 		}
-		var ok heartbeatResponse
-		if err := cl.call("POST", "/report", req, &ok); err != nil {
+		var rr reportResponse
+		if err := cl.call("POST", "/report", req, &rr); err != nil {
 			return fmt.Errorf("coord: worker %s: report lease %d: %w", opts.Name, lr.ID, err)
 		}
 		logf("worker %s: lease %d reported (%d cells)", opts.Name, lr.ID, len(rs.Cells))
+		if rr.Done {
+			logf("worker %s: job done, exiting", opts.Name)
+			return nil
+		}
 		leasesDone++
 		if opts.MaxLeases > 0 && leasesDone >= opts.MaxLeases {
 			logf("worker %s: lease budget reached, exiting", opts.Name)

@@ -157,9 +157,12 @@ func TestLateReportAfterStealDeduplicates(t *testing.T) {
 	for _, seq := range lr.Cells {
 		req.Cells = append(req.Cells, json.RawMessage(sweep.CellJSON(ref.Cells[seq])))
 	}
-	var ok heartbeatResponse
-	if err := cl.call("POST", "/report", req, &ok); err != nil {
+	var rr reportResponse
+	if err := cl.call("POST", "/report", req, &rr); err != nil {
 		t.Fatalf("late report rejected: %v", err)
+	}
+	if !rr.OK || !rr.Done {
+		t.Fatalf("late report reply %+v, want ok and done", rr)
 	}
 	rs, err := store.Results()
 	if err != nil {
@@ -280,6 +283,81 @@ func TestStatusAndResultsEndpoints(t *testing.T) {
 	case <-srv.ShutdownRequested():
 	case <-time.After(time.Second):
 		t.Fatal("shutdown request not signalled")
+	}
+}
+
+// TestWorkerExitsOnFinalReport: the reply to the report that completes
+// the job says so, and the worker exits on it without another request —
+// a coordinator without -linger closes as soon as its job is done, so a
+// further /lease would find nobody listening.
+func TestWorkerExitsOnFinalReport(t *testing.T) {
+	exps := testExps()
+	store, err := Open(t.TempDir(), SpecFor(testSpec, false, exps), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	co, err := New(store, sweep.Enumerate(exps, false), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(co)
+	var mu sync.Mutex
+	var last string
+	inner := srv.http.Handler
+	srv.http.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		last = r.URL.Path
+		mu.Unlock()
+		inner.ServeHTTP(w, r)
+	})
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if err := RunWorker(addr, WorkerOptions{Name: "solo", Resolve: testResolve(t)}); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if last != "/report" {
+		t.Fatalf("worker's last request was %s, want the completing /report", last)
+	}
+}
+
+// TestShutdownReplySurvivesClose is the linger exit path: the service
+// owner closes the server as soon as POST /shutdown is signalled, and
+// the reply to that very request must still arrive intact.
+func TestShutdownReplySurvivesClose(t *testing.T) {
+	store, co, srv, addr := startService(t, t.TempDir(), false, Options{})
+	defer store.Close()
+	for i := 0; i < 50; i++ {
+		if i > 0 {
+			srv = NewServer(co)
+			var err error
+			if addr, err = srv.Start("127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		closed := make(chan error, 1)
+		go func(srv *Server) {
+			<-srv.ShutdownRequested()
+			closed <- srv.Close()
+		}(srv)
+		resp, err := http.Post("http://"+addr+"/shutdown", "application/json", nil)
+		if err != nil {
+			t.Fatalf("iteration %d: %v", i, err)
+		}
+		var reply heartbeatResponse
+		err = json.NewDecoder(resp.Body).Decode(&reply)
+		resp.Body.Close()
+		if err != nil || !reply.OK {
+			t.Fatalf("iteration %d: shutdown reply %+v, %v", i, reply, err)
+		}
+		if err := <-closed; err != nil {
+			t.Fatalf("iteration %d: close: %v", i, err)
+		}
 	}
 }
 

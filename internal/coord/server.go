@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -43,6 +44,14 @@ type reportRequest struct {
 	ID    int64             `json:"id"`
 	Shard string            `json:"shard"`
 	Cells []json.RawMessage `json:"cells"`
+}
+
+// reportResponse tells the reporting worker whether the job is now
+// complete, so the worker that reports the last cell exits without
+// another /lease round-trip to a coordinator that may be closing.
+type reportResponse struct {
+	OK   bool `json:"ok"`
+	Done bool `json:"done"`
 }
 
 type jobResponse struct {
@@ -110,10 +119,22 @@ func (s *Server) expiryLoop() {
 // service owner's signal to stop lingering.
 func (s *Server) ShutdownRequested() <-chan struct{} { return s.shutReq }
 
-// Close stops the listener and the expiry loop.
+// closeGrace bounds how long Close waits for in-flight replies.
+const closeGrace = 5 * time.Second
+
+// Close stops the listener and the expiry loop. Requests already being
+// handled — the POST /shutdown that ended a linger, the /report of the
+// job's last cell — get their replies for up to closeGrace before the
+// remaining connections are cut.
 func (s *Server) Close() error {
 	s.stopOnce.Do(func() { close(s.stopCh) })
-	return s.http.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), closeGrace)
+	defer cancel()
+	err := s.http.Shutdown(ctx)
+	if err != nil {
+		s.http.Close()
+	}
+	return err
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -165,7 +186,13 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
-	writeJSON(w, heartbeatResponse{OK: true})
+	resp := reportResponse{OK: true}
+	select {
+	case <-s.co.Done():
+		resp.Done = true
+	default:
+	}
+	writeJSON(w, resp)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {

@@ -2,7 +2,6 @@ package game
 
 import (
 	"math"
-	"sync/atomic"
 
 	"gncg/internal/bitset"
 	"gncg/internal/metric"
@@ -36,24 +35,12 @@ import (
 // source, the scan falls back to the exhaustive tiers, mirroring the
 // GainBoundsSound fallback of the rules layer. Candidate generation is
 // an accelerator, never an approximation.
-
-// candidateGeneration gates the geometric fast path globally. It
-// defaults to on; SetCandidateGeneration (driven by the experiments
-// binary's -candidates flag / GNCG_CANDIDATES environment variable)
-// forces it off for oracle-equality gates and A/B measurements.
-var candidateGeneration atomic.Bool
-
-func init() { candidateGeneration.Store(true) }
-
-// SetCandidateGeneration toggles the geometric candidate-generation
-// fast path process-wide. Results are bit-identical either way (that is
-// the point — and the candidate-exactness CI gate holds it); only speed
-// and ScanStats telemetry change.
-func SetCandidateGeneration(on bool) { candidateGeneration.Store(on) }
-
-// CandidateGenerationEnabled reports whether the geometric fast path is
-// active.
-func CandidateGenerationEnabled() bool { return candidateGeneration.Load() }
+//
+// Which tiers a scan may use is decided by the host space alone: the
+// excess certificate needs metric.Classifier, the candidate tier needs
+// metric.CandidateSource. A space wrapped to hide those capabilities
+// runs the exhaustive pruned tier — the way the oracle-equality tests
+// and the pruned-scan benchmark reach it on geometric hosts.
 
 // ScanStats counts how BestSingleMove scans were served on this state —
 // the telemetry behind the equilibrium ladder's candidates_scanned /
@@ -71,7 +58,7 @@ type ScanStats struct {
 	// deletions were evaluated).
 	ExcessSkips int
 	// ExhaustiveScans counts pruned scans that swept every candidate —
-	// no source, no usable bounds, or candidate generation disabled.
+	// no source, or no usable bounds.
 	ExhaustiveScans int
 	// Fallbacks counts the subset of ExhaustiveScans where a source was
 	// present but no certified cutoff existed. The nightly tree-n=25000

@@ -40,23 +40,39 @@ func corpusHosts(t *testing.T, seed int64, n int) map[string]metric.Space {
 	}
 }
 
-// TestCandidateScanMatchesExactOracle is the tentpole's exactness gate
-// at unit-test scale: across the host corpus, random profiles, an α
-// ladder and a random-traffic variant, BestSingleMove with candidate
-// generation ON must return the bit-identical (move, cost, ok) triple
-// as with candidate generation OFF and as the unpruned exact oracle,
+// bareSpace hides every capability of the wrapped space: scans on it
+// run the exhaustive pruned tier without the excess ceiling.
+type bareSpace struct{ metric.Space }
+
+// classifiedSpace forwards only metric.Classifier: scans on it still
+// have no candidate source, but the excess certificate and the
+// exhaustive tier's excessUB bound stay in play.
+type classifiedSpace struct {
+	metric.Space
+	metric.Classifier
+}
+
+// TestCandidateScanMatchesExactOracle is the candidate tiers' exactness
+// gate at unit-test scale: across the host corpus, random profiles, an
+// α ladder and a random-traffic variant, BestSingleMove on the host
+// itself and on both sourceless wrappers of it must return the
+// bit-identical (move, cost, ok) triple as the unpruned exact oracle,
 // for every agent.
 func TestCandidateScanMatchesExactOracle(t *testing.T) {
-	defer SetCandidateGeneration(true)
 	const n = 28
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		for name, space := range corpusHosts(t, seed, n) {
+			variants := map[string]metric.Space{
+				"geo":        space,
+				"bare":       bareSpace{space},
+				"classified": classifiedSpace{space, space.(metric.Classifier)},
+			}
 			for _, alpha := range []float64{0.5, 3, 16 * n} {
 				for _, withTraffic := range []bool{false, true} {
-					g := New(NewHost(space), alpha)
+					var tr [][]float64
 					if withTraffic {
-						tr := make([][]float64, n)
+						tr = make([][]float64, n)
 						trng := rand.New(rand.NewSource(seed * 7))
 						for u := range tr {
 							tr[u] = make([]float64, n)
@@ -66,27 +82,27 @@ func TestCandidateScanMatchesExactOracle(t *testing.T) {
 								}
 							}
 						}
-						if err := g.SetTraffic(tr); err != nil {
-							t.Fatal(err)
-						}
 					}
 					prof := randomProfile(rng, n, 0.12)
-					sGeo := NewState(g, prof.Clone())
-					sOff := NewState(g, prof.Clone())
-					sExact := NewState(g, prof.Clone())
-					for u := 0; u < n; u++ {
-						SetCandidateGeneration(true)
-						gm, gc, gok := sGeo.BestSingleMove(u)
-						SetCandidateGeneration(false)
-						om, oc, ook := sOff.BestSingleMove(u)
-						em, ec, eok := sExact.BestSingleMoveExact(u)
-						if gm != em || gc != ec || gok != eok {
-							t.Fatalf("%s alpha=%v traffic=%v seed=%d agent %d: geo (%v, %v, %v) != exact (%v, %v, %v)",
-								name, alpha, withTraffic, seed, u, gm, gc, gok, em, ec, eok)
+					states := map[string]*State{}
+					for vname, sp := range variants {
+						g := New(NewHost(sp), alpha)
+						if tr != nil {
+							if err := g.SetTraffic(tr); err != nil {
+								t.Fatal(err)
+							}
 						}
-						if om != em || oc != ec || ook != eok {
-							t.Fatalf("%s alpha=%v traffic=%v seed=%d agent %d: pruned-off (%v, %v, %v) != exact (%v, %v, %v)",
-								name, alpha, withTraffic, seed, u, om, oc, ook, em, ec, eok)
+						states[vname] = NewState(g, prof.Clone())
+					}
+					sExact := NewState(states["geo"].G, prof.Clone())
+					for u := 0; u < n; u++ {
+						em, ec, eok := sExact.BestSingleMoveExact(u)
+						for vname, s := range states {
+							m, c, ok := s.BestSingleMove(u)
+							if m != em || c != ec || ok != eok {
+								t.Fatalf("%s alpha=%v traffic=%v seed=%d agent %d: %s (%v, %v, %v) != exact (%v, %v, %v)",
+									name, alpha, withTraffic, seed, u, vname, m, c, ok, em, ec, eok)
+							}
 						}
 					}
 				}
@@ -100,12 +116,10 @@ func TestCandidateScanMatchesExactOracle(t *testing.T) {
 // subset of exhaustive scans, sourceless hosts never report candidate
 // scans, and the exact oracle never counts at all.
 func TestCandidateScanStats(t *testing.T) {
-	defer SetCandidateGeneration(true)
-	SetCandidateGeneration(true)
 	const n = 24
 	rng := rand.New(rand.NewSource(5))
 
-	check := func(name string, space metric.Space, wantSource bool) {
+	check := func(name string, space metric.Space, wantSource bool) ScanStats {
 		g := New(NewHost(space), 16*n)
 		s := NewState(g, randomProfile(rng, n, 0.12))
 		for u := 0; u < n; u++ {
@@ -136,20 +150,18 @@ func TestCandidateScanStats(t *testing.T) {
 		if c := s.Clone(); c.ScanStats() != (ScanStats{}) {
 			t.Fatalf("%s: clone inherited scan stats %+v", name, c.ScanStats())
 		}
+		return st
 	}
 
 	check("points-l2", gen.Points(3, n, 2, 10, 2), true)
 	check("tree", gen.Tree(3, n, 1, 6), true)
 	check("one-two", gen.OneTwo(3, n, 0.4), false)
+	pts := gen.Points(4, n, 2, 10, 2)
+	check("points-l2/classified", classifiedSpace{pts, pts}, false)
 
-	// With the toggle off, geometric hosts take the exhaustive tier.
-	SetCandidateGeneration(false)
-	g := New(NewHost(gen.Points(4, n, 2, 10, 2)), 16*n)
-	s := NewState(g, randomProfile(rng, n, 0.12))
-	for u := 0; u < n; u++ {
-		s.BestSingleMove(u)
-	}
-	if st := s.ScanStats(); st.CandidateScans != 0 || st.ExcessSkips != 0 || st.ExhaustiveScans != n {
-		t.Fatalf("toggle off: want %d exhaustive scans only, got %+v", n, st)
+	// With every capability hidden, a geometric host takes the
+	// exhaustive tier on every scan.
+	if st := check("points-l2/bare", bareSpace{pts}, false); st.ExcessSkips != 0 || st.ExhaustiveScans != n {
+		t.Fatalf("bare host: want %d exhaustive scans only, got %+v", n, st)
 	}
 }

@@ -168,8 +168,9 @@ func (s *State) BestSingleMoveExact(u int) (best Move, cost float64, ok bool) {
 // both scans.
 //
 // On top of the per-candidate pruning sit two geometric tiers (see
-// candidates.go), both gated on the global candidate-generation toggle
-// and both outcome-preserving: the metric excess certificate, which
+// candidates.go), both reserved for pruned scans on hosts exposing the
+// capability they need, and both outcome-preserving: the metric excess
+// certificate, which
 // reduces the scan to the agent's deletions without enumerating
 // acquisition targets at all, and the candidate tier, which walks only
 // the host's CandidateSource neighborhood inside a certified cutoff
@@ -204,8 +205,7 @@ func (s *State) bestSingleMove(u int, prune bool) (best Move, cost float64, ok b
 		}
 		return best, cost, ok
 	}
-	geo := prune && CandidateGenerationEnabled()
-	if geo && s.excessRulesOutAcquisitions(u, cur, owned) {
+	if prune && s.excessRulesOutAcquisitions(u, cur, owned) {
 		s.scan.ExcessSkips++
 		owned.ForEach(func(v int) {
 			consider(Move{Agent: u, Kind: Delete, V: v})
@@ -235,7 +235,7 @@ func (s *State) bestSingleMove(u int, prune bool) (best Move, cost float64, ok b
 		}
 		return false
 	}
-	if geo && pb != nil {
+	if pb != nil {
 		if src := s.G.Host.candidateSource(); src != nil {
 			if rCut, cok := pb.acquireCutoff(s.maxRefundPrice(u, owned)); cok {
 				s.scan.CandidateScans++

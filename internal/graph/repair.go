@@ -11,16 +11,16 @@ import "math"
 // rows survive speculation (CostAfter) and dynamics at a fraction of the
 // full-Dijkstra price.
 //
-// Both repair entry points keep the row bit-identical to what a fresh
-// Dijkstra on the mutated graph would produce: repaired values are minima
-// over exactly the same left-to-right float path sums that Dijkstra's
-// dynamic program explores, and untouched values are proven unchanged (an
-// edge insertion only relaxes, and a deletion can only affect vertices
-// whose every tight predecessor chain crossed the deleted edge).
+// The repair keeps the row bit-identical to what a fresh Dijkstra on the
+// mutated graph would produce: repaired values are minima over exactly
+// the same left-to-right float path sums that Dijkstra's dynamic program
+// explores, and untouched values are proven unchanged (an edge insertion
+// only relaxes, and a deletion can only affect vertices whose every tight
+// predecessor chain crossed the deleted edge).
 //
 // The deletion side is output-sensitive but not worst-case better than
 // Dijkstra: on graphs with many equal-length ties the potentially-affected
-// set can balloon, so RepairRowRemove takes a budget and reports failure
+// set can balloon, so RepairRowBatch takes a budget and reports failure
 // once the set exceeds it, leaving the row untouched for the caller to
 // recompute (or discard). DefaultRepairBudget is the threshold used by the
 // game's distance cache.
@@ -30,36 +30,6 @@ import "math"
 // affected sets are the common case for single-edge game moves; past
 // roughly n/4 the repair's bookkeeping stops paying for itself.
 func DefaultRepairBudget(n int) int { return 16 + n/4 }
-
-// RepairRowAdd repairs the shortest-path row dist (valid for g before the
-// undirected edge (u,v,w) was inserted) so it is valid for g after the
-// insertion; g must already contain the edge. Distances only decrease; the
-// repair seeds a Dijkstra wavefront from whichever endpoints the new edge
-// improves and relaxes outward, touching only improved vertices. It
-// returns the number of entries that changed.
-//
-// Inserting an edge with +Inf weight (an unbuyable host pair) changes no
-// distance and returns 0 immediately. The same routine also repairs a
-// weight decrease of an existing edge.
-func (g *Graph) RepairRowAdd(dist []float64, u, v int, w float64) int {
-	var touched map[int]bool // lazily allocated: the common case is no change
-	g.RepairRowAddMarked(dist, u, v, w, func(x int) {
-		if touched == nil {
-			touched = make(map[int]bool, 8)
-		}
-		touched[x] = true
-	})
-	return len(touched)
-}
-
-// RepairRowAddMarked is RepairRowAdd with a change hook: mark(x) fires
-// every time dist[x] is lowered, so callers maintaining derived state
-// (e.g. the game cache's distance-sum aggregates) learn exactly which
-// entries moved, in O(touched). A vertex that improves repeatedly during
-// the wavefront fires repeatedly — mark must be idempotent per vertex.
-func (g *Graph) RepairRowAddMarked(dist []float64, u, v int, w float64, mark func(x int)) {
-	g.repairAddBatch(dist, []Edge{{U: u, V: v, W: w}}, mark)
-}
 
 // repairAddBatch repairs dist (valid for g before the added edges were
 // inserted) across the simultaneous insertion of all of them: every
@@ -113,33 +83,6 @@ func addF(d, w float64) float64 {
 	return d + w
 }
 
-// RepairRowRemove repairs the shortest-path row dist from src (valid for g
-// before the undirected edge (u,v,w) was deleted) so it is valid for g
-// after the deletion; g must no longer contain the edge, and w is the
-// weight the edge had. Only vertices whose every shortest path crossed the
-// deleted edge can change; the repair finds that set by walking tight
-// edges (dist[y] == dist[x] + w(x,y)) from the far endpoint, then
-// recomputes exactly those vertices with a boundary-seeded Dijkstra.
-//
-// If the potentially-affected set exceeds budget, the row is left exactly
-// as it was and ok is false: the caller should fall back to a full
-// Dijkstra (or drop the row). On success ok is true and changed counts the
-// recomputed entries.
-func (g *Graph) RepairRowRemove(dist []float64, src, u, v int, w float64, budget int) (changed int, ok bool) {
-	return g.RepairRowRemoveMarked(dist, src, u, v, w, budget, nil)
-}
-
-// RepairRowRemoveMarked is RepairRowRemove with a change hook: on success,
-// mark(x) fires exactly once for every vertex of the affected set (the
-// recomputed entries — a superset of the entries whose value actually
-// changed), so callers maintaining derived state learn which entries may
-// have moved, in O(affected). On failure (budget exceeded) the row is
-// untouched and mark never fires.
-func (g *Graph) RepairRowRemoveMarked(dist []float64, src, u, v int, w float64, budget int, mark func(x int)) (changed int, ok bool) {
-	n, ok := g.repairRemoveBatch(dist, src, []Edge{{U: u, V: v, W: w}}, nil, budget, mark)
-	return n, ok
-}
-
 // RepairRowBatch repairs the shortest-path row dist from src across an
 // arbitrary net edge difference applied to the graph: dist must be valid
 // for g with the `added` edges absent and the `removed` edges present
@@ -167,7 +110,7 @@ func (g *Graph) RepairRowBatch(dist []float64, src int, removed, added []Edge, b
 				skip[pairKey(e.U, e.V)] = true
 			}
 		}
-		if _, ok := g.repairRemoveBatch(dist, src, removed, skip, budget, mark); !ok {
+		if !g.repairRemoveBatch(dist, src, removed, skip, budget, mark) {
 			return false
 		}
 	}
@@ -195,9 +138,8 @@ func pairKey(u, v int) [2]int {
 // (dist[y] == dist[x] + w(x,y)) from every unsupported far endpoint, then
 // recomputes exactly those vertices with a boundary-seeded Dijkstra.
 // If the potentially-affected set exceeds budget, the row is left exactly
-// as it was and ok is false. On success ok is true and changed counts the
-// recomputed entries.
-func (g *Graph) repairRemoveBatch(dist []float64, src int, removed []Edge, skipAdd map[[2]int]bool, budget int, mark func(x int)) (changed int, ok bool) {
+// as it was and ok is false.
+func (g *Graph) repairRemoveBatch(dist []float64, src int, removed []Edge, skipAdd map[[2]int]bool, budget int, mark func(x int)) (ok bool) {
 	// Roots: endpoints whose distance was supported through a deleted
 	// edge and have no alternative tight support left. If every endpoint
 	// keeps a support, no distance in the row can change. The source is
@@ -220,7 +162,7 @@ func (g *Graph) repairRemoveBatch(dist []float64, src int, removed []Edge, skipA
 		}
 	}
 	if len(roots) == 0 {
-		return 0, true
+		return true
 	}
 
 	// Phase 1: the potentially-affected set — everything reachable from a
@@ -249,7 +191,7 @@ func (g *Graph) repairRemoveBatch(dist []float64, src int, removed []Edge, skipA
 			}
 			if dist[e.to] == dx+e.w {
 				if len(affected) >= budget {
-					return 0, false
+					return false
 				}
 				affected[e.to] = true
 				queue = append(queue, e.to)
@@ -307,7 +249,7 @@ func (g *Graph) repairRemoveBatch(dist []float64, src int, removed []Edge, skipA
 			}
 		}
 	}
-	return len(affected), true
+	return true
 }
 
 // hasStrictSupport reports whether some remaining edge still certifies

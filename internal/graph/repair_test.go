@@ -49,7 +49,21 @@ func rowsEqualBitwise(t *testing.T, got, want []float64, ctx string) {
 	}
 }
 
-// TestRepairRowMatchesFreshDijkstra: after random interleaved edge
+// repairOne repairs dist from src across one edge change through
+// RepairRowBatch — the insertion of e when add is set, else its removal —
+// and returns whether the repair succeeded and the distinct vertices it
+// marked.
+func repairOne(g *Graph, dist []float64, src int, e Edge, add bool, budget int) (marked map[int]bool, ok bool) {
+	marked = map[int]bool{}
+	removed, added := []Edge{e}, []Edge(nil)
+	if add {
+		removed, added = nil, removed
+	}
+	ok = g.RepairRowBatch(dist, src, removed, added, budget, func(x int) { marked[x] = true })
+	return marked, ok
+}
+
+// TestRepairRowMatchesFreshDijkstra: after random interleaved single-edge
 // insertions and deletions, rows repaired incrementally for every source
 // must be bit-equal to fresh Dijkstra on the mutated graph.
 func TestRepairRowMatchesFreshDijkstra(t *testing.T) {
@@ -75,7 +89,7 @@ func TestRepairRowMatchesFreshDijkstra(t *testing.T) {
 						w := g.EdgeWeight(u, v)
 						g.RemoveEdge(u, v)
 						for src := 0; src < n; src++ {
-							if _, ok := g.RepairRowRemove(rows[src], src, u, v, w, n+1); !ok {
+							if _, ok := repairOne(g, rows[src], src, Edge{U: u, V: v, W: w}, false, n+1); !ok {
 								t.Fatalf("seed %d step %d: budget n+1 exceeded on an n-vertex graph", seed, step)
 							}
 						}
@@ -91,7 +105,7 @@ func TestRepairRowMatchesFreshDijkstra(t *testing.T) {
 						}
 						g.AddEdge(u, v, w)
 						for src := 0; src < n; src++ {
-							g.RepairRowAdd(rows[src], u, v, w)
+							repairOne(g, rows[src], src, Edge{U: u, V: v, W: w}, true, n+1)
 						}
 					}
 					for src := 0; src < n; src++ {
@@ -103,11 +117,11 @@ func TestRepairRowMatchesFreshDijkstra(t *testing.T) {
 	}
 }
 
-// TestRepairRowRemoveZeroWeightCycleGrounding pins the zero-weight
+// TestRepairRowBatchZeroWeightCycleGrounding pins the zero-weight
 // pathology the strict-support rule exists for: two zero-weight cycle
 // mates that "support" each other but are grounded only through the
 // deleted edge must both be detected as affected (and go to +Inf).
-func TestRepairRowRemoveZeroWeightCycleGrounding(t *testing.T) {
+func TestRepairRowBatchZeroWeightCycleGrounding(t *testing.T) {
 	// s --5-- v --0-- u --0-- a, plus nothing else: removing (v,u)
 	// disconnects {u,a}, even though u and a keep tight "supports"
 	// via each other.
@@ -118,7 +132,7 @@ func TestRepairRowRemoveZeroWeightCycleGrounding(t *testing.T) {
 	g.AddEdge(u, a, 0)
 	dist := g.Dijkstra(s)
 	g.RemoveEdge(v, u)
-	if _, ok := g.RepairRowRemove(dist, s, v, u, 0, 64); !ok {
+	if _, ok := repairOne(g, dist, s, Edge{U: v, V: u, W: 0}, false, 64); !ok {
 		t.Fatal("repair unexpectedly exceeded budget")
 	}
 	rowsEqualBitwise(t, dist, g.Dijkstra(s), "zero-weight cycle")
@@ -127,9 +141,10 @@ func TestRepairRowRemoveZeroWeightCycleGrounding(t *testing.T) {
 	}
 }
 
-// TestRepairRowRemoveBudgetFallback: when the affected set exceeds the
-// budget the row must be left exactly as it was.
-func TestRepairRowRemoveBudgetFallback(t *testing.T) {
+// TestRepairRowBatchRemovalBudgetFallback: when a single removal's
+// affected set exceeds the budget the row must be left exactly as it
+// was, and no entry may be marked.
+func TestRepairRowBatchRemovalBudgetFallback(t *testing.T) {
 	// A long path from src: deleting the first edge affects every other
 	// vertex, so any budget below n-1 must refuse and leave the row alone.
 	n := 16
@@ -140,21 +155,21 @@ func TestRepairRowRemoveBudgetFallback(t *testing.T) {
 	dist := g.Dijkstra(0)
 	before := append([]float64(nil), dist...)
 	g.RemoveEdge(0, 1)
-	if _, ok := g.RepairRowRemove(dist, 0, 0, 1, 1, 3); ok {
-		t.Fatal("expected budget refusal")
+	removed := Edge{U: 0, V: 1, W: 1}
+	if marked, ok := repairOne(g, dist, 0, removed, false, 3); ok || len(marked) != 0 {
+		t.Fatalf("expected budget refusal with no marks, got ok=%v marked=%v", ok, marked)
 	}
 	rowsEqualBitwise(t, dist, before, "refused repair must not touch the row")
-	if _, ok := g.RepairRowRemove(dist, 0, 0, 1, 1, n); !ok {
+	if _, ok := repairOne(g, dist, 0, removed, false, n); !ok {
 		t.Fatal("budget n should suffice")
 	}
 	rowsEqualBitwise(t, dist, g.Dijkstra(0), "after retry with larger budget")
 }
 
-// TestRepairRowAddChangedCountsVertices: the returned count is distinct
-// changed entries, not relaxations — a vertex the wavefront improves
-// twice (first via a far frontier vertex, then via a closer one) counts
-// once.
-func TestRepairRowAddChangedCountsVertices(t *testing.T) {
+// TestRepairRowBatchChangedCountsVertices: an insertion marks exactly
+// the changed entries — a vertex the wavefront improves twice (first via
+// a far frontier vertex, then via a closer one) is one distinct mark.
+func TestRepairRowBatchChangedCountsVertices(t *testing.T) {
 	// Path 0-1-2-3-4 (unit weights) with (4,5) of weight 10 and a side
 	// edge (3,5) of weight 1. Inserting (0,4) of weight 1 improves 4
 	// (4→1), 3 (3→2) and 5 twice (4→11 via vertex 4, then →3 via 3).
@@ -166,21 +181,21 @@ func TestRepairRowAddChangedCountsVertices(t *testing.T) {
 	g.AddEdge(3, 5, 1)
 	dist := g.Dijkstra(0)
 	g.AddEdge(0, 4, 1)
-	if c := g.RepairRowAdd(dist, 0, 4, 1); c != 3 {
-		t.Fatalf("changed = %d, want 3 (vertices 3, 4, 5)", c)
+	if marked, _ := repairOne(g, dist, 0, Edge{U: 0, V: 4, W: 1}, true, 6); len(marked) != 3 {
+		t.Fatalf("changed = %v, want 3 (vertices 3, 4, 5)", marked)
 	}
 	rowsEqualBitwise(t, dist, g.Dijkstra(0), "double-improvement insert")
 }
 
-// TestRepairRowAddInfEdgeIsNoop: inserting an unbuyable (+Inf) edge never
-// changes a distance.
-func TestRepairRowAddInfEdgeIsNoop(t *testing.T) {
+// TestRepairRowBatchInfEdgeIsNoop: inserting an unbuyable (+Inf) edge
+// never changes or marks a distance.
+func TestRepairRowBatchInfEdgeIsNoop(t *testing.T) {
 	g := New(3)
 	g.AddEdge(0, 1, 2)
 	dist := g.Dijkstra(0)
 	g.AddEdge(1, 2, math.Inf(1))
-	if c := g.RepairRowAdd(dist, 1, 2, math.Inf(1)); c != 0 {
-		t.Fatalf("inf insertion changed %d entries", c)
+	if marked, _ := repairOne(g, dist, 0, Edge{U: 1, V: 2, W: math.Inf(1)}, true, 3); len(marked) != 0 {
+		t.Fatalf("inf insertion marked %v", marked)
 	}
 	rowsEqualBitwise(t, dist, g.Dijkstra(0), "inf add")
 }
