@@ -330,7 +330,7 @@ func BenchmarkLemma1AESpanner(b *testing.B) {
 	ok := false
 	for i := 0; i < b.N; i++ {
 		s := game.NewState(g, game.StarProfile(7, 0))
-		dynamics.RunAddOnly(s, dynamics.RoundRobin{})
+		dynamics.RunToConvergence(s, dynamics.AddOnlyMover, dynamics.RoundRobin{}, dynamics.Budget{})
 		ok = spanner.IsKSpanner(s.Network(), g.Host, g.Alpha+1, 1e-9)
 	}
 	reportVerified(b, ok)
@@ -344,7 +344,7 @@ func BenchmarkCor2ApproxNE(b *testing.B) {
 	var factor float64
 	for i := 0; i < b.N; i++ {
 		s := game.NewState(g, game.StarProfile(7, 0))
-		dynamics.RunAddOnly(s, dynamics.RoundRobin{})
+		dynamics.RunToConvergence(s, dynamics.AddOnlyMover, dynamics.RoundRobin{}, dynamics.Budget{})
 		factor = bestresponse.NashApproxFactor(s)
 	}
 	b.ReportMetric(factor, "beta")

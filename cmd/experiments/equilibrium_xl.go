@@ -109,19 +109,16 @@ func registerEquilibriumXL() {
 			g := game.New(h, alpha)
 			lb := g.Rules().SpanningEdgeCostLB(alpha, mstW, n) + distSum
 			s := game.NewState(g, game.StarProfile(n, 0))
-			budget := dynamics.Budget{MaxRounds: 32, MaxMoves: 20 * n}
-			res := dynamics.RunToConvergence(s, dynamics.GreedyMover, dynamics.RoundRobin{}, budget)
+			res := dynamics.RunToConvergence(s, dynamics.GreedyMover, dynamics.RoundRobin{}, ladderBudget(n))
 			// Scan telemetry of the convergence run alone: verification
 			// works on clones (counters discarded) and the exact-oracle
 			// sample runs unpruned scans, which never count.
 			scan := s.ScanStats()
 
+			verification, haveVerification := dynamics.VerifyConvergence(
+				res, s, game.VerifyOptions{Workers: xlVerifyWorkers(n)})
 			certified := "-"
-			var verification dynamics.Verification
-			var haveVerification bool
-			if res.Outcome == dynamics.Converged {
-				verification, haveVerification = dynamics.VerifyConvergence(
-					res, s, game.VerifyOptions{Workers: xlVerifyWorkers(n)})
+			if haveVerification {
 				certified = report.Check(verification.Stable)
 			}
 			sampled := "-"
@@ -132,39 +129,21 @@ func registerEquilibriumXL() {
 				}
 				// Distinct non-center agents, drawn without replacement.
 				sample := p.RNG().Perm(n - 1)[:k]
-				ok := true
-				for _, u := range sample {
-					_, _, improving := s.BestSingleMoveExact(u + 1)
-					if improving {
-						ok = false
-						break
-					}
+				for i := range sample {
+					sample[i]++
 				}
-				sampled = fmt.Sprintf("%s (%d sampled)", report.Check(ok), k)
+				sampled = fmt.Sprintf("%s (%d sampled)", report.Check(exactSampleStable(s, sample)), k)
 			}
-			kv := []any{"host", class, "n", n, "alpha", alpha,
-				"outcome", res.Outcome.String(),
-				"rounds", res.Rounds, "moves", res.Moves,
-				"social_cost", res.SocialCost, "opt_lb", lb,
-				"poa_vs_lb", res.PoA(lb),
-				"ne_certified", certified,
-				"exact_sample_ne", sampled}
+			kv := append([]any{"host", class, "n", n, "alpha", alpha}, outcomeColumns(res, lb)...)
+			kv = append(kv, "ne_certified", certified, "exact_sample_ne", sampled)
 			// Full mode only, like the equilibrium ladder: quick cells stay
 			// byte-identical between candidate modes (the candidate-exactness
 			// gate compares them), and scan counters differ by mode by
 			// design; verify_ms is wall clock on top.
 			if !p.Quick {
-				kv = append(kv,
-					"candidate_scans", scan.CandidateScans,
-					"candidates_scanned", scan.CandidatesScanned,
-					"excess_skips", scan.ExcessSkips,
-					"exhaustive_scans", scan.ExhaustiveScans,
-					"fallbacks", scan.Fallbacks)
+				kv = append(kv, scanColumns(scan)...)
 				if haveVerification {
-					kv = append(kv,
-						"verify_workers", verification.Workers,
-						"cert_skipped", verification.CertSkipped,
-						"verify_ms", verification.Elapsed.Milliseconds())
+					kv = append(kv, verifyColumns(verification)...)
 				}
 			}
 			return []sweep.Record{sweep.R(kv...)}

@@ -168,7 +168,7 @@ func registerLemmas() {
 			n := 7
 			g := game.New(game.NewHost(gen.Points(p.Seed()+50, n, 2, 10, 2)), alpha)
 			s := game.NewState(g, game.StarProfile(n, 0))
-			dynamics.RunAddOnly(s, dynamics.RoundRobin{})
+			dynamics.RunToConvergence(s, dynamics.AddOnlyMover, dynamics.RoundRobin{}, dynamics.Budget{})
 			aeStretch := spanner.Stretch(s.Network(), g.Host)
 			optRes, err := opt.ExactSmall(g)
 			if err != nil {
@@ -195,7 +195,7 @@ func registerApprox() {
 			n := 7
 			g := game.New(game.NewHost(gen.Points(p.Seed()+200, n, 2, 10, 2)), alpha)
 			s := game.NewState(g, game.StarProfile(n, 0))
-			dynamics.RunAddOnly(s, dynamics.RoundRobin{})
+			dynamics.RunToConvergence(s, dynamics.AddOnlyMover, dynamics.RoundRobin{}, dynamics.Budget{})
 			geF := s.GreedyApproxFactor()
 			neF := bestresponse.NashApproxFactor(s)
 			return []sweep.Record{sweep.R("alpha", alpha,
@@ -1082,24 +1082,88 @@ const (
 //     scale — low-α 1-2 dynamics buy Θ(n²) edges and are not a
 //     feasible full-convergence workload.
 func equilibriumConfig(class string, n int) (h *game.Host, alpha float64, start game.Profile) {
+	alpha = map[string]float64{"l2": 16 * float64(n), "tree": float64(n), "onetwo": 3}[class]
+	kind := "star"
+	if class == "tree" && n <= equilibriumPathN {
+		kind = "path"
+	}
+	return classHost(class, n), alpha, startProfile(kind, n)
+}
+
+// classHost is the seed-13 host of a convergence cell's host class: ℓ2
+// points in a 1000-box, a random tree with weights in [1, 6], or a 1-2
+// host with 30% two-edges.
+func classHost(class string, n int) *game.Host {
 	switch class {
 	case "l2":
-		h, alpha = game.NewHost(gen.Points(13, n, 2, 1000, 2)), 16*float64(n)
+		return game.NewHost(gen.Points(13, n, 2, 1000, 2))
 	case "tree":
-		h, alpha = game.NewHost(gen.Tree(13, n, 1, 6)), float64(n)
+		return game.NewHost(gen.Tree(13, n, 1, 6))
 	case "onetwo":
-		h, alpha = game.NewHost(gen.OneTwo(13, n, 0.3)), 3
-	default:
-		panic(fmt.Sprintf("unknown equilibrium host class %q", class))
+		return game.NewHost(gen.OneTwo(13, n, 0.3))
 	}
-	if class == "tree" && n <= equilibriumPathN {
+	panic(fmt.Sprintf("unknown host class %q", class))
+}
+
+// startProfile is a dynamics start: the star centred on agent 0, or the
+// path through the agents in index order.
+func startProfile(kind string, n int) game.Profile {
+	switch kind {
+	case "star":
+		return game.StarProfile(n, 0)
+	case "path":
 		order := make([]int, n)
 		for i := range order {
 			order[i] = i
 		}
-		return h, alpha, game.PathProfile(n, order)
+		return game.PathProfile(n, order)
 	}
-	return h, alpha, game.StarProfile(n, 0)
+	panic(fmt.Sprintf("unknown start profile %q", kind))
+}
+
+// ladderBudget is the equilibrium ladders' deterministic budget: the
+// round cap guards hypothetical cycling, and the validated
+// configurations converge well inside it.
+func ladderBudget(n int) dynamics.Budget {
+	return dynamics.Budget{MaxRounds: 32, MaxMoves: 20 * n}
+}
+
+// exactSampleStable re-checks the given agents against the unpruned
+// exact move oracle: true iff none of them has an improving move.
+func exactSampleStable(s *game.State, agents []int) bool {
+	for _, u := range agents {
+		if _, _, improving := s.BestSingleMoveExact(u); improving {
+			return false
+		}
+	}
+	return true
+}
+
+// outcomeColumns are a convergence cell's run columns, with the
+// empirical PoA against the certified OPT lower bound lb.
+func outcomeColumns(res dynamics.ConvergenceResult, lb float64) []any {
+	return []any{"outcome", res.Outcome.String(),
+		"rounds", res.Rounds, "moves", res.Moves,
+		"social_cost", res.SocialCost, "opt_lb", lb,
+		"poa_vs_lb", res.PoA(lb)}
+}
+
+// scanColumns record how a convergence run's best-response scans were
+// served, tier by tier.
+func scanColumns(scan game.ScanStats) []any {
+	return []any{"candidate_scans", scan.CandidateScans,
+		"candidates_scanned", scan.CandidatesScanned,
+		"excess_skips", scan.ExcessSkips,
+		"exhaustive_scans", scan.ExhaustiveScans,
+		"fallbacks", scan.Fallbacks}
+}
+
+// verifyColumns are the certified verifier's telemetry; verify_ms is
+// wall clock (volatile, masked by ci/check_shards.py).
+func verifyColumns(v dynamics.Verification) []any {
+	return []any{"verify_workers", v.Workers,
+		"cert_skipped", v.CertSkipped,
+		"verify_ms", v.Elapsed.Milliseconds()}
 }
 
 // registerEquilibrium is the paper's headline empirical claim run at
@@ -1148,11 +1212,7 @@ func registerEquilibrium() {
 			h, alpha, start := equilibriumConfig(p.Str("host"), n)
 			g := game.New(h, alpha)
 			s := game.NewState(g, start)
-			// The round cap guards hypothetical cycling (every cell must
-			// terminate deterministically); the validated configurations
-			// converge well inside it.
-			budget := dynamics.Budget{MaxRounds: 32, MaxMoves: 20 * n}
-			res := dynamics.RunToConvergence(s, dynamics.GreedyMover, dynamics.RoundRobin{}, budget)
+			res := dynamics.RunToConvergence(s, dynamics.GreedyMover, dynamics.RoundRobin{}, ladderBudget(n))
 			// The dynamics' scan telemetry, before verification: the
 			// verifier works on clones (their counters are discarded) and
 			// the sampled exact oracle runs unpruned scans, which do not
@@ -1168,45 +1228,24 @@ func registerEquilibrium() {
 				if n <= equilibriumExactN {
 					// The certified parallel verifier with the exact oracle:
 					// verdict bit-identical to a serial all-agents
-					// BestSingleMoveExact sweep (the pre-PR 6 loop here) for
-					// any worker count, so the exact_oracle_ne column's
-					// encoding is unchanged.
+					// BestSingleMoveExact sweep for any worker count.
 					verification, haveVerification = dynamics.VerifyConvergence(
 						res, s, game.VerifyOptions{Exact: true})
 					verified = report.Check(verification.Stable)
 				} else {
 					// 48 distinct agents, drawn without replacement.
-					sample := p.RNG().Perm(n)[:48]
-					ok := true
-					for _, u := range sample {
-						_, _, improving := s.BestSingleMoveExact(u)
-						if improving {
-							ok = false
-							break
-						}
-					}
-					verified = report.Check(ok) + " (sampled)"
+					verified = report.Check(exactSampleStable(s, p.RNG().Perm(n)[:48])) + " (sampled)"
 				}
 			}
-			kv := []any{"host", p.Str("host"), "n", n, "alpha", alpha,
-				"outcome", res.Outcome.String(),
-				"rounds", res.Rounds, "moves", res.Moves,
-				"social_cost", res.SocialCost, "opt_lb", lb,
-				"poa_vs_lb", res.PoA(lb),
-				"exact_oracle_ne", verified}
+			kv := append([]any{"host", p.Str("host"), "n", n, "alpha", alpha}, outcomeColumns(res, lb)...)
+			kv = append(kv, "exact_oracle_ne", verified)
 			// Cache observability and verification telemetry ride along in
 			// full mode only: quick-mode cells keep their historical
 			// byte-exact encoding, the nightly ladder gets the churn data
 			// plus worker count / certificate skip rate / wall time of the
-			// parallel verify (verify_ms is wall clock, hence volatile:
-			// check_shards.py allowlists it when comparing shard merges).
+			// parallel verify.
 			if !p.Quick {
-				kv = append(kv,
-					"candidate_scans", scan.CandidateScans,
-					"candidates_scanned", scan.CandidatesScanned,
-					"excess_skips", scan.ExcessSkips,
-					"exhaustive_scans", scan.ExhaustiveScans,
-					"fallbacks", scan.Fallbacks)
+				kv = append(kv, scanColumns(scan)...)
 				st := cacheChurnProbe(s)
 				kv = append(kv,
 					"cache_cap", st.Capacity,
@@ -1215,10 +1254,7 @@ func registerEquilibrium() {
 					"cache_probe_evictions", st.Evictions,
 					"cache_probe_repairs", st.BatchRepairs)
 				if haveVerification {
-					kv = append(kv,
-						"verify_workers", verification.Workers,
-						"cert_skipped", verification.CertSkipped,
-						"verify_ms", verification.Elapsed.Milliseconds())
+					kv = append(kv, verifyColumns(verification)...)
 				}
 			}
 			return []sweep.Record{sweep.R(kv...)}
@@ -1265,9 +1301,10 @@ func cacheChurnProbe(s *game.State) game.CacheStats {
 // converging — the empirical face of the paper's Conjecture 1 (no FIP
 // for any p-norm) and of the improving-move cycles PR 4 stumbled on
 // while tuning the equilibrium ladder. Each cell plays greedy dynamics
-// under dynamics.Run, whose recurrence detector stores every visited
-// profile, so a reported cycle is an exact profile recurrence; the cell
-// then independently replays the history through dynamics.VerifyCycle.
+// under dynamics.Run — the equilibrium ladders' activation loop with a
+// recorder that stores every visited profile — so a reported cycle is an
+// exact profile recurrence; the cell then independently replays the
+// history through dynamics.VerifyCycle.
 // The grid is the census ROADMAP asked for and a demo of what the open
 // axis space buys: (n, α-scale, scheduler, start-profile) crosses an
 // int axis, a float axis and two categorical string axes — a
@@ -1319,19 +1356,7 @@ func registerCycleCensus() {
 				hostSeed = p.Int64("host_seed")
 			}
 			g := game.New(game.NewHost(gen.Points(hostSeed, n, 2, 1000, p.Float("p"))), alpha)
-			var start game.Profile
-			switch p.Str("start") {
-			case "path":
-				order := make([]int, n)
-				for i := range order {
-					order[i] = i
-				}
-				start = game.PathProfile(n, order)
-			case "star":
-				start = game.StarProfile(n, 0)
-			default:
-				panic(fmt.Sprintf("unknown start profile %q", p.Str("start")))
-			}
+			start := startProfile(p.Str("start"), n)
 			var sched dynamics.Scheduler = dynamics.RoundRobin{}
 			if p.Str("sched") == "random" {
 				sched = dynamics.RandomOrder{Rng: p.RNG()}
@@ -1402,17 +1427,7 @@ func registerModelCompare() {
 			"workers_invariant", "exact_nash_tier"},
 		Run: func(p sweep.Params) []sweep.Record {
 			n := p.Int("n")
-			var h *game.Host
-			switch p.Str("host") {
-			case "l2":
-				h = game.NewHost(gen.Points(13, n, 2, 1000, 2))
-			case "tree":
-				h = game.NewHost(gen.Tree(13, n, 1, 6))
-			case "onetwo":
-				h = game.NewHost(gen.OneTwo(13, n, 0.3))
-			default:
-				panic(fmt.Sprintf("unknown model_compare host class %q", p.Str("host")))
-			}
+			h := classHost(p.Str("host"), n)
 			model := rules.MustByName(p.Str("model"))
 			// Mean weight out of node 0, folded in index order: the
 			// deterministic scale anchor for the per-model alpha.
@@ -1436,15 +1451,7 @@ func registerModelCompare() {
 			// Both starts are connected: from a sufficiently disconnected
 			// profile no single-edge move yields finite cost under any
 			// model, so greedy dynamics would trivially freeze at +Inf.
-			start := game.StarProfile(n, 0)
-			if p.Str("start") == "path" {
-				order := make([]int, n)
-				for i := range order {
-					order[i] = i
-				}
-				start = game.PathProfile(n, order)
-			}
-			s := game.NewState(g, start)
+			s := game.NewState(g, startProfile(p.Str("start"), n))
 			budget := dynamics.Budget{MaxRounds: 64, MaxMoves: 40 * n}
 			res := dynamics.RunToConvergence(s, dynamics.GreedyMover, dynamics.RoundRobin{}, budget)
 			lb := opt.LowerBound(g)
@@ -1456,18 +1463,14 @@ func registerModelCompare() {
 			if !model.ExactNashViaUMFL() {
 				exactTier = "rejected"
 			}
-			return []sweep.Record{sweep.R(
-				"model", p.Str("model"), "host", p.Str("host"), "n", n,
-				"start", p.Str("start"), "alpha", alpha,
-				"outcome", res.Outcome.String(),
-				"rounds", res.Rounds, "moves", res.Moves,
-				"social_cost", res.SocialCost, "opt_lb", lb,
-				"poa_vs_lb", res.PoA(lb),
+			kv := append([]any{"model", p.Str("model"), "host", p.Str("host"), "n", n,
+				"start", p.Str("start"), "alpha", alpha}, outcomeColumns(res, lb)...)
+			return []sweep.Record{sweep.R(append(kv,
 				"feasible", report.Check(s.FeasibleProfile()),
 				"greedy_stable", report.Check(v1.Stable),
 				"cert_skipped", v1.CertSkipped,
 				"workers_invariant", report.Check(invariant),
-				"exact_nash_tier", exactTier)}
+				"exact_nash_tier", exactTier)...)}
 		},
 	})
 }

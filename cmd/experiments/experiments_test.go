@@ -200,7 +200,7 @@ func TestCacheChurnProbeDeterministic(t *testing.T) {
 	g := game.New(h, alpha)
 	s := game.NewState(g, start)
 	res := dynamics.RunToConvergence(s, dynamics.GreedyMover, dynamics.RoundRobin{},
-		dynamics.Budget{MaxRounds: 32, MaxMoves: 5000})
+		ladderBudget(250))
 	if res.Outcome != dynamics.Converged {
 		t.Fatalf("l2 star rung did not converge: %v", res.Outcome)
 	}
@@ -310,5 +310,65 @@ func TestGoldenQuickSweep(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), golden) && mismatches == 0 {
 		t.Error("cells match but encoded stream differs from golden (framing drift)")
+	}
+}
+
+// goldenFullCells are the full-mode convergence cells pinned by
+// TestGoldenFullCells: the exact-verify and sampled branches of the
+// equilibrium ladder, and both host classes of equilibrium_xl. The n
+// values are off the registered ladders so the cells stay cheap; Index
+// seeds each cell's RNG (the sampled branch draws its agents from it).
+var goldenFullCells = []struct {
+	exp  string
+	host string
+	n    int
+}{
+	{"equilibrium", "l2", 250},
+	{"equilibrium", "tree", 250},
+	{"equilibrium", "onetwo", 250},
+	{"equilibrium", "l2", 2600},
+	{"equilibrium_xl", "l2", 400},
+	{"equilibrium_xl", "tree", 400},
+}
+
+// TestGoldenFullCells pins the full-mode encoding of the convergence
+// cells — column order included — which the quick golden cannot see:
+// full mode appends the scan, cache and verification telemetry. The
+// wall-clock verify_ms and the GOMAXPROCS-dependent verify_workers are
+// masked. Each line of testdata/golden_full_cells.jsonl is one cell's
+// sweep.CellJSON; a deliberate change regenerates it from the lines
+// this test prints on mismatch.
+func TestGoldenFullCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-mode convergence cells are too slow for -short")
+	}
+	ensureRegistered()
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden_full_cells.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Split(bytes.TrimSuffix(golden, []byte("\n")), []byte("\n"))
+	if len(want) != len(goldenFullCells) {
+		t.Fatalf("golden has %d cells, want %d", len(want), len(goldenFullCells))
+	}
+	for i, c := range goldenFullCells {
+		e, ok := sweep.Lookup(c.exp)
+		if !ok {
+			t.Fatalf("%s missing", c.exp)
+		}
+		p := sweep.Params{Experiment: c.exp, Index: i, Values: []sweep.AxisValue{
+			{Axis: "host", Value: c.host}, {Axis: "n", Value: c.n}}}
+		recs := e.Run(p)
+		for _, r := range recs {
+			for fi, f := range r.Fields {
+				if f.Key == "verify_ms" || f.Key == "verify_workers" {
+					r.Fields[fi].Value = "masked"
+				}
+			}
+		}
+		got := sweep.CellJSON(sweep.CellResult{Seq: i, Experiment: c.exp, Cell: p, Records: recs})
+		if !bytes.Equal(got, want[i]) {
+			t.Errorf("%s %s n=%d drifted from golden:\n  want %s\n  got  %s", c.exp, c.host, c.n, want[i], got)
+		}
 	}
 }

@@ -28,12 +28,6 @@ func RunBestResponseDynamics(s *State, maxMoves int) DynamicsResult {
 	return dynamics.Run(s, dynamics.BestResponseMover, dynamics.RoundRobin{}, maxMoves)
 }
 
-// RunGreedyDynamics iterates best single-edge moves (buy/delete/swap) in
-// round-robin order; convergence yields a greedy equilibrium.
-func RunGreedyDynamics(s *State, maxMoves int) DynamicsResult {
-	return dynamics.Run(s, dynamics.GreedyMover, dynamics.RoundRobin{}, maxMoves)
-}
-
 // ConvergenceBudget bounds a RunToConvergence call: deterministic round
 // and move caps plus an optional machine-dependent wall-clock backstop.
 // Zero values mean unlimited.
@@ -49,16 +43,11 @@ type ConvergenceResult = dynamics.ConvergenceResult
 // round passes with no improving move or the budget runs out. Unlike
 // RunDynamics it keeps no history and detects no cycles — O(1) per-move
 // overhead, the engine behind the equilibrium ladder at n = 10⁴. Use
-// GreedyMover with RoundRobinScheduler for the paper's greedy dynamics.
+// GreedyMover with RoundRobinScheduler for the paper's greedy dynamics,
+// and AddOnlyMover with a zero budget for add-only dynamics, which
+// always converge (every move buys a new edge).
 func RunToConvergence(s *State, mover Mover, sched Scheduler, b ConvergenceBudget) ConvergenceResult {
 	return dynamics.RunToConvergence(s, mover, sched, b)
-}
-
-// RunGreedyDynamicsToConvergence plays greedy single-edge moves in
-// round-robin order until no agent can improve (a verified greedy
-// equilibrium) or the budget is exhausted.
-func RunGreedyDynamicsToConvergence(s *State, b ConvergenceBudget) ConvergenceResult {
-	return dynamics.RunToConvergence(s, dynamics.GreedyMover, dynamics.RoundRobin{}, b)
 }
 
 // ConvergenceVerification is an independent certified re-check of a
@@ -71,22 +60,6 @@ type ConvergenceVerification = dynamics.Verification
 // false when the run did not converge — there is nothing to certify.
 func VerifyConvergence(res ConvergenceResult, s *State, opt VerifyOptions) (ConvergenceVerification, bool) {
 	return dynamics.VerifyConvergence(res, s, opt)
-}
-
-// RunAddOnlyDynamics iterates best single buys until no agent wants
-// another edge: an add-only equilibrium, reached in at most ~n² moves.
-// Start from a connected profile (e.g. StarProfile) for meaningful
-// results; see Thm 2 and Cor. 2.
-func RunAddOnlyDynamics(s *State) DynamicsResult {
-	return dynamics.RunAddOnly(s, dynamics.RoundRobin{})
-}
-
-// RunRandomOrderDynamics iterates exact best responses with a seeded
-// random agent order each round — the configuration under which
-// improving-move cycles surface in practice.
-func RunRandomOrderDynamics(s *State, maxMoves int, seed int64) DynamicsResult {
-	sched := dynamics.RandomOrder{Rng: rand.New(rand.NewSource(seed))}
-	return dynamics.Run(s, dynamics.BestResponseMover, sched, maxMoves)
 }
 
 // CycleWitness is a machine-verified improving-move cycle.

@@ -62,7 +62,8 @@ func ExampleVerifyGreedyEquilibrium() {
 	}
 	g := gncg.NewGame(host, 64) // large alpha: the star is (near-)stable
 	s := gncg.NewState(g, gncg.StarProfile(g.N(), 0))
-	res := gncg.RunGreedyDynamicsToConvergence(s, gncg.ConvergenceBudget{MaxRounds: 32})
+	res := gncg.RunToConvergence(s, gncg.GreedyMover, gncg.RoundRobinScheduler(),
+		gncg.ConvergenceBudget{MaxRounds: 32})
 	if res.Outcome != gncg.Converged {
 		log.Fatal("did not converge")
 	}
@@ -105,7 +106,7 @@ func ExampleNewGameWithRules() {
 		}
 		g := gncg.NewGameWithRules(host, alpha, r)
 		s := gncg.NewState(g, gncg.StarProfile(g.N(), 0))
-		res := gncg.RunGreedyDynamicsToConvergence(s,
+		res := gncg.RunToConvergence(s, gncg.GreedyMover, gncg.RoundRobinScheduler(),
 			gncg.ConvergenceBudget{MaxRounds: 32, MaxMoves: 500})
 		v := gncg.VerifyGreedyEquilibrium(s, gncg.VerifyOptions{Workers: 2})
 		fmt.Printf("%-6s outcome=%s moves=%d stable=%v\n",

@@ -44,7 +44,7 @@ func main() {
 			// Dynamics can cycle (no FIP, Thm 14/17); retry with a random
 			// activation order until they settle.
 			s = gncg.NewState(g, gncg.EmptyProfile(n))
-			gncg.RunRandomOrderDynamics(s, 5000, 7)
+			gncg.RunDynamics(s, gncg.BestResponseMover, gncg.RandomScheduler(7), 5000)
 		}
 		opt := gncg.SocialOptimumHeuristic(g)
 		neCost := s.SocialCost()

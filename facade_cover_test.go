@@ -12,7 +12,7 @@ func TestRunToConvergenceFacade(t *testing.T) {
 	}
 	g := NewGame(host, 1.5)
 	s := NewState(g, StarProfile(g.N(), 0))
-	res := RunGreedyDynamicsToConvergence(s, ConvergenceBudget{MaxRounds: 100})
+	res := RunToConvergence(s, GreedyMover, RoundRobinScheduler(), ConvergenceBudget{MaxRounds: 100})
 	if res.Outcome != Converged {
 		t.Fatalf("6-agent greedy dynamics did not converge: %+v", res)
 	}
@@ -52,7 +52,7 @@ func TestRemainingFacadeSurface(t *testing.T) {
 		t.Fatal("ProfileFromEdgeSet ownership rule wrong (lower endpoint buys)")
 	}
 	s := NewState(g, p)
-	res := RunGreedyDynamics(s, 1000)
+	res := RunDynamics(s, GreedyMover, RoundRobinScheduler(), 1000)
 	if res.Outcome == Exhausted {
 		t.Fatalf("greedy dynamics exhausted on 3 agents")
 	}

@@ -205,11 +205,11 @@ func TestCustomDynamicsFacade(t *testing.T) {
 		t.Fatal("tiny instance exhausted the budget")
 	}
 	s2 := NewState(g, StarProfile(4, 0))
-	if r := RunAddOnlyDynamics(s2); r.Outcome != Converged {
+	if r := RunToConvergence(s2, AddOnlyMover, RoundRobinScheduler(), ConvergenceBudget{}); r.Outcome != Converged {
 		t.Fatalf("add-only outcome %v", r.Outcome)
 	}
 	s3 := NewState(g, EmptyProfile(4))
-	if r := RunRandomOrderDynamics(s3, 500, 42); r.Outcome == Exhausted {
+	if r := RunDynamics(s3, BestResponseMover, RandomScheduler(42), 500); r.Outcome == Exhausted {
 		t.Fatal("random-order BR dynamics exhausted on tiny instance")
 	}
 }

@@ -3,6 +3,7 @@ package dynamics
 import (
 	"time"
 
+	"gncg/internal/bitset"
 	"gncg/internal/game"
 )
 
@@ -77,16 +78,29 @@ func VerifyConvergence(res ConvergenceResult, s *game.State, opt game.VerifyOpti
 // RunToConvergence drives move dynamics on state s (mutating it) until a
 // full round passes without an improving move, or a budget is exhausted.
 //
-// Unlike Run it keeps no profile history and performs no cycle
-// detection: the per-move cost is O(1) bookkeeping on top of the mover
-// itself, which is what makes full convergence runs feasible on the
-// n=10⁴ equilibrium ladder. Dynamics that can cycle (exact best
-// responses on T-/ℓ1-hosts, Thms 14 and 17) simply exhaust their budget;
-// greedy dynamics on the ladder's metric hosts converge in practice.
-// Callers who need a cycle certificate use Run.
+// It keeps no profile history and performs no cycle detection: the
+// per-move cost is O(1) bookkeeping on top of the mover itself, which is
+// what makes full convergence runs feasible on the n=10⁴ equilibrium
+// ladder. Dynamics that can cycle (exact best responses on T-/ℓ1-hosts,
+// Thms 14 and 17) simply exhaust their budget; greedy dynamics on the
+// ladder's metric hosts converge in practice. Callers who need a cycle
+// certificate use Run.
 func RunToConvergence(s *game.State, mover Mover, sched Scheduler, b Budget) ConvergenceResult {
-	n := s.G.N()
 	start := time.Now()
+	res := activate(s, mover, sched, b, start, nil)
+	res.SocialCost = s.SocialCost()
+	res.Elapsed = time.Since(start)
+	return res
+}
+
+// activate is the one activation loop behind RunToConvergence and Run:
+// rounds of sched's order, each agent offered one mover call, until a
+// round applies no move or b runs out (its WallClock counted from
+// start). onMove, when non-nil, sees every applied move; returning true
+// stops the run with Outcome CycleDetected. SocialCost and Elapsed are
+// left to the caller.
+func activate(s *game.State, mover Mover, sched Scheduler, b Budget, start time.Time, onMove func(u int, strat bitset.Set) bool) ConvergenceResult {
+	n := s.G.N()
 	res := ConvergenceResult{Outcome: Exhausted}
 	cut := func() bool {
 		if b.MaxMoves > 0 && res.Moves >= b.MaxMoves {
@@ -111,13 +125,15 @@ func RunToConvergence(s *game.State, mover Mover, sched Scheduler, b Budget) Con
 			s.SetStrategy(u, strat)
 			res.Moves++
 			moved = true
+			if onMove != nil && onMove(u, strat) {
+				res.Outcome = CycleDetected
+				return res
+			}
 		}
 		if !moved && !cut() {
 			res.Outcome = Converged
 			break
 		}
 	}
-	res.SocialCost = s.SocialCost()
-	res.Elapsed = time.Since(start)
 	return res
 }

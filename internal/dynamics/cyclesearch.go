@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"gncg/internal/bitset"
 	"gncg/internal/game"
 	"gncg/internal/parallel"
 )
@@ -79,26 +80,34 @@ func FindCycle(g *game.Game, cfg CycleSearchConfig) (CycleWitness, bool) {
 
 // VerifyCycle replays a witness and checks every move strictly improved
 // its mover and that the profile really recurs. It is the independent
-// validation pass applied to every cycle the search reports.
+// validation pass applied to every cycle the search reports. A malformed
+// witness — a cycle outside the history, an agent or strategy element
+// outside [0, n), an initial profile not of g's n agents — is rejected,
+// never a panic.
 func VerifyCycle(g *game.Game, w CycleWitness) bool {
+	n := g.N()
+	if !wellFormed(w.Initial, n) || w.CycleStart < 0 || w.CycleLen <= 0 || w.CycleStart+w.CycleLen > len(w.Moves) {
+		return false
+	}
 	s := game.NewState(g, w.Initial.Clone())
-	var snapshots []game.Profile
-	snapshots = append(snapshots, s.P.Clone())
+	snapshots := []game.Profile{s.P.Clone()}
 	for _, tr := range w.Moves {
-		before := s.Cost(tr.Agent)
-		strat := s.P.S[tr.Agent].Clone()
-		strat.Clear()
+		if tr.Agent < 0 || tr.Agent >= n {
+			return false
+		}
+		strat := bitset.New(n)
 		for _, v := range tr.Strategy {
+			if v < 0 || v >= n || v == tr.Agent {
+				return false
+			}
 			strat.Add(v)
 		}
+		before := s.Cost(tr.Agent)
 		s.SetStrategy(tr.Agent, strat)
 		if !g.Improves(s.Cost(tr.Agent), before) {
 			return false
 		}
 		snapshots = append(snapshots, s.P.Clone())
-	}
-	if w.CycleStart+w.CycleLen >= len(snapshots) || w.CycleLen <= 0 {
-		return false
 	}
 	return snapshots[w.CycleStart].Equal(snapshots[w.CycleStart+w.CycleLen])
 }

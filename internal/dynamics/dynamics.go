@@ -4,10 +4,15 @@
 // improvement property (the paper's Thms 14 and 17 assert exactly such
 // cycles exist for the T–GNCG and the Rd–GNCG with the 1-norm).
 //
-// Three move oracles are provided: exact best responses (expensive,
-// exponential worst case), greedy single-edge responses (polynomial, the
-// GE notion), and add-only responses (polynomial; these always converge
-// because strategies only grow, yielding the AE networks of Thm 2).
+// Four move oracles are provided: exact best responses (expensive,
+// exponential worst case), UMFL 3-approximate best responses, greedy
+// single-edge responses (polynomial, the GE notion), and add-only
+// responses (polynomial; these always converge because strategies only
+// grow, yielding the AE networks of Thm 2). One activation loop,
+// RunToConvergence, plays them all; Run records the moves on top of it
+// to detect recurrences. ProfileSpace enumerates every strategy profile
+// of a tiny game for the exhaustive checks (ExhaustiveFIP here, the
+// equilibrium census in package poa).
 //
 // The simulation layer is cost-model-blind: movers see only costs and
 // moves, both of which the state's game.Rules already shapes, so
@@ -21,6 +26,7 @@ package dynamics
 
 import (
 	"math/rand"
+	"time"
 
 	"gncg/internal/bestresponse"
 	"gncg/internal/bitset"
@@ -51,7 +57,15 @@ func GreedyMover(s *game.State, u int) (bitset.Set, bool) {
 	return m.NewStrategy(s.P.S[u]), true
 }
 
-// AddOnlyMover plays the best single buy move (never deletes).
+// AddOnlyMover plays the best single buy move (never deletes). Add-only
+// dynamics need no move budget: every move buys a new edge and strictly
+// improves the buyer, so a run makes at most n(n-1) moves and ends in an
+// add-only equilibrium; Thm 2 and Cor. 2 then bound how unstable it can
+// be — for CONNECTED states. Start from a connected profile (e.g.
+// game.StarProfile): from a sufficiently disconnected state no single
+// purchase yields finite cost, so the empty network is vacuously
+// add-only stable yet infinitely bad, a degenerate case the paper's
+// finite-cost arguments exclude.
 func AddOnlyMover(s *game.State, u int) (bitset.Set, bool) {
 	m, _, ok := s.BestBuy(u)
 	if !ok {
@@ -141,12 +155,16 @@ type Result struct {
 }
 
 // Run simulates dynamics on state s (mutating it) until convergence,
-// state recurrence, or maxMoves applied moves. Recurrence detection
-// hashes every visited profile; hash collisions are disambiguated by
-// storing full profiles per hash bucket, so a reported cycle is exact.
+// state recurrence, or maxMoves applied moves (maxMoves <= 0 is an
+// immediately exhausted budget). It records every move on top of
+// RunToConvergence's activation loop and hashes every visited profile;
+// hash collisions are disambiguated by storing full profiles per hash
+// bucket, so a reported cycle is exact.
 func Run(s *game.State, mover Mover, sched Scheduler, maxMoves int) Result {
-	n := s.G.N()
 	res := Result{Outcome: Exhausted}
+	if maxMoves <= 0 {
+		return res
+	}
 	seen := map[uint64][]seenEntry{}
 	record := func(moveIdx int) (int, bool) {
 		h := s.P.Hash()
@@ -159,52 +177,19 @@ func Run(s *game.State, mover Mover, sched Scheduler, maxMoves int) Result {
 		return 0, false
 	}
 	record(0)
-	for res.Moves < maxMoves {
-		res.Rounds++
-		movedThisRound := false
-		for _, u := range sched.Order(res.Rounds, n) {
-			if res.Moves >= maxMoves {
-				break
-			}
-			strat, ok := mover(s, u)
-			if !ok {
-				continue
-			}
-			s.SetStrategy(u, strat)
-			res.Moves++
-			movedThisRound = true
-			res.History = append(res.History, Trace{Agent: u, Strategy: strat.Elems()})
-			if at, dup := record(res.Moves); dup {
-				res.Outcome = CycleDetected
-				res.CycleStart = at
-				res.CycleLen = res.Moves - at
-				return res
-			}
+	cr := activate(s, mover, sched, Budget{MaxMoves: maxMoves}, time.Time{}, func(u int, strat bitset.Set) bool {
+		res.History = append(res.History, Trace{Agent: u, Strategy: strat.Elems()})
+		at, dup := record(len(res.History))
+		if dup {
+			res.CycleStart, res.CycleLen = at, len(res.History)-at
 		}
-		if !movedThisRound {
-			res.Outcome = Converged
-			return res
-		}
-	}
+		return dup
+	})
+	res.Outcome, res.Moves, res.Rounds = cr.Outcome, cr.Moves, cr.Rounds
 	return res
 }
 
 type seenEntry struct {
 	moveIdx int
 	profile game.Profile
-}
-
-// RunAddOnly runs add-only dynamics to completion. Add-only dynamics
-// always converge (strategies only grow and each buy strictly improves
-// the buyer), so the result state is an add-only equilibrium; Thm 2 and
-// Cor. 2 then bound how unstable it can be — for CONNECTED states. Start
-// from a connected profile (e.g. game.StarProfile): from a sufficiently
-// disconnected state no single purchase yields finite cost, so the empty
-// network is vacuously add-only stable yet infinitely bad, a degenerate
-// case the paper's finite-cost arguments exclude. The move bound guards
-// against pathological float behaviour only.
-func RunAddOnly(s *game.State, sched Scheduler) Result {
-	n := s.G.N()
-	maxMoves := n*n + n // each agent can buy at most n-1 edges
-	return Run(s, AddOnlyMover, sched, maxMoves)
 }

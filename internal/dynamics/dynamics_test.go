@@ -41,12 +41,12 @@ func TestBestResponseDynamicsReachNash(t *testing.T) {
 	}
 }
 
-func TestRunAddOnlyAlwaysConverges(t *testing.T) {
+func TestAddOnlyDynamicsAlwaysConverge(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		n := 7
 		g := pointGame(seed, n, 0.8)
 		s := game.NewState(g, game.StarProfile(n, 0))
-		res := RunAddOnly(s, RoundRobin{})
+		res := RunToConvergence(s, AddOnlyMover, RoundRobin{}, Budget{})
 		if res.Outcome != Converged {
 			t.Fatalf("seed %d: add-only dynamics did not converge: %v", seed, res.Outcome)
 		}
@@ -63,7 +63,7 @@ func TestAddOnlyYieldsAlphaPlus1GE(t *testing.T) {
 		alpha := 0.5 + float64(seed)*0.5
 		g := pointGame(seed+100, 7, alpha)
 		s := game.NewState(g, game.StarProfile(7, 0))
-		RunAddOnly(s, RoundRobin{})
+		RunToConvergence(s, AddOnlyMover, RoundRobin{}, Budget{})
 		if f := s.GreedyApproxFactor(); f > alpha+1+1e-6 {
 			t.Fatalf("seed %d alpha %v: AE has greedy factor %v > alpha+1", seed, alpha, f)
 		}
@@ -77,7 +77,7 @@ func TestAddOnlyYields3Alpha1NE(t *testing.T) {
 		alpha := 0.5 + float64(seed)*0.7
 		g := pointGame(seed+200, 7, alpha)
 		s := game.NewState(g, game.StarProfile(7, 0))
-		RunAddOnly(s, RoundRobin{})
+		RunToConvergence(s, AddOnlyMover, RoundRobin{}, Budget{})
 		if f := bestresponse.NashApproxFactor(s); f > 3*(alpha+1)+1e-6 {
 			t.Fatalf("seed %d alpha %v: AE has Nash factor %v > 3(alpha+1)=%v",
 				seed, alpha, f, 3*(alpha+1))

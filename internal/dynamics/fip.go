@@ -1,12 +1,7 @@
 package dynamics
 
 import (
-	"fmt"
-	"math"
-
-	"gncg/internal/bitset"
 	"gncg/internal/game"
-	"gncg/internal/parallel"
 )
 
 // FIPWitness is a cycle in the exhaustive improving-move graph: a
@@ -19,10 +14,6 @@ type FIPWitness struct {
 	Agents   []int          // Agents[i] moves Profiles[i] -> Profiles[i+1]
 }
 
-// maxFIPAgents caps the exhaustive profile enumeration: the profile space
-// has 2^(n(n-1)) states, so n = 4 gives 4096 and n = 5 about one million.
-const maxFIPAgents = 5
-
 // ExhaustiveFIP builds the full improving-move graph of the game — every
 // strategy profile is a node, every strictly improving unilateral strategy
 // change an arc — and searches it for a directed cycle. It returns a
@@ -30,72 +21,45 @@ const maxFIPAgents = 5
 // instance has the finite improvement property (improving moves strictly
 // descend an acyclic relation). Exponential in n²: refuses n > 5.
 func ExhaustiveFIP(g *game.Game) (witness *FIPWitness, hasCycle bool, err error) {
-	n := g.N()
-	if n > maxFIPAgents {
-		return nil, false, fmt.Errorf("dynamics: exhaustive FIP check supports n <= %d, got %d", maxFIPAgents, n)
-	}
-	perAgent := 1 << (n - 1) // strategies of one agent as masks over others
-	total := 1
-	for i := 0; i < n; i++ {
-		total *= perAgent
+	ps, err := NewProfileSpace(g)
+	if err != nil {
+		return nil, false, err
 	}
 
-	// Cost of every (profile, agent): computed in parallel by profile.
-	costs := parallel.Map(total, func(idx int) []float64 {
-		s := game.NewState(g, decodeProfile(idx, n, perAgent))
-		out := make([]float64, n)
-		for u := 0; u < n; u++ {
-			out[u] = s.Cost(u)
-		}
-		return out
-	})
-
-	// DFS over the improving-move graph with tri-color marking; a back
-	// edge closes a cycle.
+	// DFS over the improving-move graph with tri-color marking. Gray
+	// nodes are exactly the stack, so a back edge to one closes a cycle
+	// along it.
 	const (
-		white = 0
-		gray  = 1
-		black = 2
+		white = iota
+		gray
+		black
 	)
-	color := make([]byte, total)
-	parent := make([]int32, total)
-	parentAgent := make([]int8, total)
-	for i := range parent {
-		parent[i] = -1
+	color := make([]byte, ps.Total)
+	type frame struct {
+		idx       int
+		succ, ags []int // improving arcs out of idx and their movers
+		pos       int   // next arc to take
 	}
-
-	successors := func(idx int) (next []int, agents []int) {
-		base := costs[idx]
-		for u := 0; u < n; u++ {
-			cur := base[u]
-			for alt := 0; alt < perAgent; alt++ {
-				nidx := replaceAgentStrategy(idx, u, alt, n, perAgent)
-				if nidx == idx {
-					continue
-				}
-				if improves(costs[nidx][u], cur, g.Eps) {
-					next = append(next, nidx)
-					agents = append(agents, u)
+	var stack []frame
+	push := func(idx int) {
+		color[idx] = gray
+		f := frame{idx: idx}
+		for u := 0; u < ps.N; u++ {
+			for alt := 0; alt < ps.PerAgent; alt++ {
+				nidx := ps.Replace(idx, u, alt)
+				if nidx != idx && g.Improves(ps.Costs[nidx][u], ps.Costs[idx][u]) {
+					f.succ = append(f.succ, nidx)
+					f.ags = append(f.ags, u)
 				}
 			}
 		}
-		return next, agents
+		stack = append(stack, f)
 	}
-
-	type frame struct {
-		idx  int
-		succ []int
-		ags  []int
-		pos  int
-	}
-	for start := 0; start < total; start++ {
+	for start := 0; start < ps.Total; start++ {
 		if color[start] != white {
 			continue
 		}
-		stack := []frame{}
-		color[start] = gray
-		sn, sa := successors(start)
-		stack = append(stack, frame{idx: start, succ: sn, ags: sa})
+		push(start)
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
 			if f.pos >= len(f.succ) {
@@ -104,42 +68,23 @@ func ExhaustiveFIP(g *game.Game) (witness *FIPWitness, hasCycle bool, err error)
 				continue
 			}
 			nxt := f.succ[f.pos]
-			ag := f.ags[f.pos]
 			f.pos++
 			switch color[nxt] {
 			case white:
-				color[nxt] = gray
-				parent[nxt] = int32(f.idx)
-				parentAgent[nxt] = int8(ag)
-				nn, na := successors(nxt)
-				stack = append(stack, frame{idx: nxt, succ: nn, ags: na})
+				push(nxt)
 			case gray:
-				// Back edge f.idx -> nxt: walk the stack portion from nxt
-				// to f.idx to extract the cycle.
+				// From nxt's frame to the top, each frame's last taken
+				// arc leads to the next frame; the top's leads back to nxt.
+				k := len(stack) - 1
+				for stack[k].idx != nxt {
+					k--
+				}
 				w := &FIPWitness{}
-				var chain []int
-				var agentsChain []int
-				cur := f.idx
-				chain = append(chain, cur)
-				for cur != nxt {
-					agentsChain = append(agentsChain, int(parentAgent[cur]))
-					cur = int(parent[cur])
-					chain = append(chain, cur)
+				for _, fr := range stack[k:] {
+					w.Profiles = append(w.Profiles, ps.Profile(fr.idx))
+					w.Agents = append(w.Agents, fr.ags[fr.pos-1])
 				}
-				// chain is f.idx ... nxt (reverse order); reverse it and
-				// close the loop with the back edge.
-				for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-					chain[i], chain[j] = chain[j], chain[i]
-				}
-				for i, j := 0, len(agentsChain)-1; i < j; i, j = i+1, j-1 {
-					agentsChain[i], agentsChain[j] = agentsChain[j], agentsChain[i]
-				}
-				agentsChain = append(agentsChain, ag) // back edge mover
-				chain = append(chain, nxt)
-				for _, idx := range chain {
-					w.Profiles = append(w.Profiles, decodeProfile(idx, n, perAgent))
-				}
-				w.Agents = agentsChain
+				w.Profiles = append(w.Profiles, ps.Profile(nxt))
 				return w, true, nil
 			}
 		}
@@ -147,61 +92,31 @@ func ExhaustiveFIP(g *game.Game) (witness *FIPWitness, hasCycle bool, err error)
 	return nil, false, nil
 }
 
-func improves(newCost, oldCost, eps float64) bool {
-	if math.IsInf(oldCost, 1) {
-		return !math.IsInf(newCost, 1)
-	}
-	return newCost < oldCost-eps
-}
-
-// decodeProfile expands a packed profile index into a Profile: agent u's
-// digit (base perAgent) is a bitmask over the other agents in increasing
-// order.
-func decodeProfile(idx, n, perAgent int) game.Profile {
-	p := game.EmptyProfile(n)
-	for u := 0; u < n; u++ {
-		mask := idx % perAgent
-		idx /= perAgent
-		bit := 0
-		for v := 0; v < n; v++ {
-			if v == u {
-				continue
-			}
-			if mask&(1<<bit) != 0 {
-				p.Buy(u, v)
-			}
-			bit++
-		}
-	}
-	return p
-}
-
-// replaceAgentStrategy returns the profile index with agent u's digit
-// replaced by alt.
-func replaceAgentStrategy(idx, u, alt, n, perAgent int) int {
-	pow := 1
-	for i := 0; i < u; i++ {
-		pow *= perAgent
-	}
-	digit := (idx / pow) % perAgent
-	return idx + (alt-digit)*pow
-}
-
 // VerifyFIPWitness replays a witness: every step must strictly improve
-// its mover and the final profile must equal the first.
+// its mover and the final profile must equal the first. A malformed
+// witness — nil, a mover outside [0, n), a profile not of g's n agents —
+// is rejected, never a panic.
 func VerifyFIPWitness(g *game.Game, w *FIPWitness) bool {
-	if len(w.Profiles) < 2 || len(w.Agents) != len(w.Profiles)-1 {
+	n := g.N()
+	if w == nil || len(w.Profiles) < 2 || len(w.Agents) != len(w.Profiles)-1 {
 		return false
 	}
-	for i := 0; i+1 < len(w.Profiles); i++ {
-		u := w.Agents[i]
+	for _, p := range w.Profiles {
+		if !wellFormed(p, n) {
+			return false
+		}
+	}
+	for i, u := range w.Agents {
+		if u < 0 || u >= n {
+			return false
+		}
 		before := game.NewState(g, w.Profiles[i].Clone()).Cost(u)
 		after := game.NewState(g, w.Profiles[i+1].Clone()).Cost(u)
-		if !improves(after, before, g.Eps) {
+		if !g.Improves(after, before) {
 			return false
 		}
 		// Only agent u's strategy may change.
-		for v := 0; v < g.N(); v++ {
+		for v := 0; v < n; v++ {
 			if v != u && !w.Profiles[i].S[v].Equal(w.Profiles[i+1].S[v]) {
 				return false
 			}
@@ -210,19 +125,16 @@ func VerifyFIPWitness(g *game.Game, w *FIPWitness) bool {
 	return w.Profiles[0].Equal(w.Profiles[len(w.Profiles)-1])
 }
 
-// StrategySet converts a strategy mask over "others" into a bitset, for
-// diagnostic printing.
-func StrategySet(n, u, mask int) bitset.Set {
-	s := bitset.New(n)
-	bit := 0
-	for v := 0; v < n; v++ {
-		if v == u {
-			continue
-		}
-		if mask&(1<<bit) != 0 {
-			s.Add(v)
-		}
-		bit++
+// wellFormed reports whether p is a profile of an n-agent game: n
+// strategies over n nodes, none buying an edge to its own agent.
+func wellFormed(p game.Profile, n int) bool {
+	if p.N() != n {
+		return false
 	}
-	return s
+	for u, st := range p.S {
+		if st.Universe() != n || st.Has(u) {
+			return false
+		}
+	}
+	return true
 }

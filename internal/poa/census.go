@@ -1,10 +1,9 @@
 package poa
 
 import (
-	"fmt"
 	"math"
 
-	"gncg/internal/bitset"
+	"gncg/internal/dynamics"
 	"gncg/internal/game"
 	"gncg/internal/parallel"
 )
@@ -48,10 +47,6 @@ func (c Census) PoS() float64 {
 	return c.BestNECost / c.OptCost
 }
 
-// maxCensusAgents bounds the exhaustive profile enumeration (the space
-// has 2^(n(n-1)) profiles).
-const maxCensusAgents = 5
-
 // ExhaustiveCensus enumerates every strategy profile of a game with
 // n <= 5 agents, classifies the exact Nash equilibria (a profile is an
 // NE iff no agent's digit can be replaced by a cheaper one — the full
@@ -66,15 +61,11 @@ const maxCensusAgents = 5
 // only. Under unconstrained models every profile is feasible and the
 // classification is unchanged.
 func ExhaustiveCensus(g *game.Game) (Census, error) {
-	n := g.N()
-	if n > maxCensusAgents {
-		return Census{}, fmt.Errorf("poa: exhaustive census supports n <= %d, got %d", maxCensusAgents, n)
+	ps, err := dynamics.NewProfileSpace(g)
+	if err != nil {
+		return Census{}, err
 	}
-	perAgent := 1 << (n - 1)
-	total := 1
-	for i := 0; i < n; i++ {
-		total *= perAgent
-	}
+	n, perAgent, total := ps.N, ps.PerAgent, ps.Total
 
 	// Per-agent strategy-digit admissibility under the cost model,
 	// precomputed once (n·2^(n-1) entries) so the deviation loop below
@@ -84,7 +75,7 @@ func ExhaustiveCensus(g *game.Game) (Census, error) {
 	for u := 0; u < n; u++ {
 		feas[u] = make([]bool, perAgent)
 		for alt := 0; alt < perAgent; alt++ {
-			feas[u][alt] = rules.Feasible(g, u, decodeStrategy(alt, u, n))
+			feas[u][alt] = rules.Feasible(g, u, dynamics.StrategySet(n, u, alt))
 		}
 	}
 	profFeasible := func(idx int) bool {
@@ -96,20 +87,13 @@ func ExhaustiveCensus(g *game.Game) (Census, error) {
 		}
 		return true
 	}
-
-	type profInfo struct {
-		costs  []float64
-		social float64
-	}
-	infos := parallel.Map(total, func(idx int) profInfo {
-		s := game.NewState(g, decodeProfile(idx, n, perAgent))
-		pi := profInfo{costs: make([]float64, n)}
-		for u := 0; u < n; u++ {
-			pi.costs[u] = s.Cost(u)
-			pi.social += pi.costs[u]
+	// Social cost per profile, summed in agent order.
+	social := make([]float64, total)
+	for idx, costs := range ps.Costs {
+		for _, c := range costs {
+			social[idx] += c
 		}
-		return pi
-	})
+	}
 
 	c := Census{
 		Profiles:    total,
@@ -122,16 +106,12 @@ func ExhaustiveCensus(g *game.Game) (Census, error) {
 			return false
 		}
 		for u := 0; u < n; u++ {
-			cur := infos[idx].costs[u]
 			for alt := 0; alt < perAgent; alt++ {
 				if !feas[u][alt] {
 					continue // inadmissible deviation under the model
 				}
-				nidx := replaceAgentStrategy(idx, u, alt, n, perAgent)
-				if nidx == idx {
-					continue
-				}
-				if improvesEps(infos[nidx].costs[u], cur, g.Eps) {
+				nidx := ps.Replace(idx, u, alt)
+				if nidx != idx && g.Improves(ps.Costs[nidx][u], ps.Costs[idx][u]) {
 					return false
 				}
 			}
@@ -139,76 +119,21 @@ func ExhaustiveCensus(g *game.Game) (Census, error) {
 		return true
 	})
 	for idx := 0; idx < total; idx++ {
-		if profFeasible(idx) && infos[idx].social < c.OptCost {
-			c.OptCost = infos[idx].social
+		if profFeasible(idx) && social[idx] < c.OptCost {
+			c.OptCost = social[idx]
 		}
 		if !isNE[idx] {
 			continue
 		}
 		c.Nash++
-		if infos[idx].social < c.BestNECost {
-			c.BestNECost = infos[idx].social
-			c.BestNE = decodeProfile(idx, n, perAgent)
+		if social[idx] < c.BestNECost {
+			c.BestNECost = social[idx]
+			c.BestNE = ps.Profile(idx)
 		}
-		if infos[idx].social > c.WorstNECost {
-			c.WorstNECost = infos[idx].social
-			c.WorstNE = decodeProfile(idx, n, perAgent)
+		if social[idx] > c.WorstNECost {
+			c.WorstNECost = social[idx]
+			c.WorstNE = ps.Profile(idx)
 		}
 	}
 	return c, nil
-}
-
-func improvesEps(newCost, oldCost, eps float64) bool {
-	if math.IsInf(oldCost, 1) {
-		return !math.IsInf(newCost, 1)
-	}
-	return newCost < oldCost-eps
-}
-
-// decodeProfile expands a packed profile index: agent u's digit (base
-// perAgent) is a bitmask over the other agents in increasing order.
-// Mirrors the encoding in the dynamics package's exhaustive FIP check.
-func decodeProfile(idx, n, perAgent int) game.Profile {
-	p := game.EmptyProfile(n)
-	for u := 0; u < n; u++ {
-		mask := idx % perAgent
-		idx /= perAgent
-		bit := 0
-		for v := 0; v < n; v++ {
-			if v == u {
-				continue
-			}
-			if mask&(1<<bit) != 0 {
-				p.Buy(u, v)
-			}
-			bit++
-		}
-	}
-	return p
-}
-
-// decodeStrategy expands one agent digit into that agent's strategy
-// set, with decodeProfile's bit order (the other agents, increasing).
-func decodeStrategy(mask, u, n int) bitset.Set {
-	strat := bitset.New(n)
-	bit := 0
-	for v := 0; v < n; v++ {
-		if v == u {
-			continue
-		}
-		if mask&(1<<bit) != 0 {
-			strat.Add(v)
-		}
-		bit++
-	}
-	return strat
-}
-
-func replaceAgentStrategy(idx, u, alt, n, perAgent int) int {
-	pow := 1
-	for i := 0; i < u; i++ {
-		pow *= perAgent
-	}
-	digit := (idx / pow) % perAgent
-	return idx + (alt-digit)*pow
 }

@@ -8,45 +8,42 @@ import (
 	"math"
 	"testing"
 
+	"gncg/internal/dynamics"
 	"gncg/internal/game"
 	"gncg/internal/gen"
 	"gncg/internal/graph"
 	"gncg/internal/opt"
-	"gncg/internal/parallel"
 	"gncg/internal/spanner"
 )
+
+// profileSpace enumerates every profile of a tiny game.
+func profileSpace(t *testing.T, g *game.Game) *dynamics.ProfileSpace {
+	t.Helper()
+	ps, err := dynamics.NewProfileSpace(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ps
+}
 
 // allNashProfiles enumerates every exact NE of a tiny game.
 func allNashProfiles(t *testing.T, g *game.Game) []game.Profile {
 	t.Helper()
-	n := g.N()
-	perAgent := 1 << (n - 1)
-	total := 1
-	for i := 0; i < n; i++ {
-		total *= perAgent
-	}
-	costs := parallel.Map(total, func(idx int) []float64 {
-		s := game.NewState(g, decodeProfile(idx, n, perAgent))
-		out := make([]float64, n)
-		for u := 0; u < n; u++ {
-			out[u] = s.Cost(u)
-		}
-		return out
-	})
+	ps := profileSpace(t, g)
 	var out []game.Profile
-	for idx := 0; idx < total; idx++ {
+	for idx := 0; idx < ps.Total; idx++ {
 		ne := true
-		for u := 0; u < n && ne; u++ {
-			for alt := 0; alt < perAgent; alt++ {
-				nidx := replaceAgentStrategy(idx, u, alt, n, perAgent)
-				if nidx != idx && improvesEps(costs[nidx][u], costs[idx][u], g.Eps) {
+		for u := 0; u < ps.N && ne; u++ {
+			for alt := 0; alt < ps.PerAgent; alt++ {
+				nidx := ps.Replace(idx, u, alt)
+				if nidx != idx && g.Improves(ps.Costs[nidx][u], ps.Costs[idx][u]) {
 					ne = false
 					break
 				}
 			}
 		}
 		if ne {
-			out = append(out, decodeProfile(idx, n, perAgent))
+			out = append(out, ps.Profile(idx))
 		}
 	}
 	return out
@@ -157,11 +154,9 @@ func TestLemma1AllAEAreSpanners(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		alpha := 0.7 + float64(seed)*0.9
 		g := game.New(game.NewHost(gen.Points(seed+300, 4, 2, 10, 2)), alpha)
-		n := 4
-		perAgent := 1 << (n - 1)
-		total := perAgent * perAgent * perAgent * perAgent
-		for idx := 0; idx < total; idx++ {
-			s := game.NewState(g, decodeProfile(idx, n, perAgent))
+		ps := profileSpace(t, g)
+		for idx := 0; idx < ps.Total; idx++ {
+			s := game.NewState(g, ps.Profile(idx))
 			if !s.Connected() || !s.IsAddOnlyEquilibrium() {
 				continue
 			}
@@ -203,11 +198,9 @@ func TestThm2AllConnectedAEAreAlphaPlus1GE(t *testing.T) {
 	for seed := int64(0); seed < 2; seed++ {
 		alpha := 0.8 + float64(seed)
 		g := game.New(game.NewHost(gen.Points(seed+700, 4, 2, 10, 2)), alpha)
-		n := 4
-		perAgent := 1 << (n - 1)
-		total := perAgent * perAgent * perAgent * perAgent
-		for idx := 0; idx < total; idx++ {
-			s := game.NewState(g, decodeProfile(idx, n, perAgent))
+		ps := profileSpace(t, g)
+		for idx := 0; idx < ps.Total; idx++ {
+			s := game.NewState(g, ps.Profile(idx))
 			if !s.Connected() || !s.IsAddOnlyEquilibrium() {
 				continue
 			}
