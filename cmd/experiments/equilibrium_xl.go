@@ -27,8 +27,8 @@ import (
 // The certified OPT lower bound α·MST(H) + Σ_{u≠v} d_H(u,v) is computed
 // by host-specific O(n²)-or-better routines below instead of
 // opt.LowerBound, whose generic Prim pass over Host.Weight (an interface
-// call, O(log n) LCA on tree hosts) prices a 10⁵-vertex cell in tens of
-// minutes on its own.
+// call, an O(1) LCA query on tree hosts) prices a 10⁵-vertex cell in
+// tens of minutes on its own.
 
 // xlSampleFull / xlSampleHuge size the deterministic exact-oracle spot
 // check of the reached state: 48 agents (matching the equilibrium

@@ -18,11 +18,12 @@ import (
 // gain bounds (moveBounds) prove unable to beat the best move found, so
 // (move, cost, ok) stays bit-identical to BestSingleMoveExact. The
 // derivation: for an acquiring move towards y with host weight
-// w = w(u,y), the net gain is bounded by gainUB(w) − AcquirePrice(α,w),
-// which is non-increasing in w (gainUB falls, the price contract says
-// AcquirePrice never does). acquireCutoff finds a radius r with
+// w = w(u,y), the net gain is bounded by
+// min(gainUB(w), excessUB) − AcquirePrice(α,w), which is non-increasing
+// in w (gainUB falls, excessUB is constant, the price contract says
+// AcquirePrice never falls). acquireCutoff finds a radius r with
 //
-//	gainUB(r) − AcquirePrice(α,r) <= eps − refundMax − slack,
+//	min(gainUB(r), excessUB) − AcquirePrice(α,r) <= eps − refundMax − slack,
 //
 // so every candidate with w > r satisfies skipAcquire's skip condition
 // for any refund <= refundMax and any running best — they can be
@@ -206,10 +207,16 @@ func (s *State) excessRulesOutAcquisitions(u int, cur float64, owned bitset.Set)
 // caller falls back to the exhaustive scan.
 //
 // The search runs twice over progressively tighter envelopes. The coarse
-// pass replaces gainUB(w) by its ceiling sumTD = gainUB(0), so every
-// probe is O(1) and the geo tier's common case never sorts the distance
-// row at all; when the price function cannot overtake the ceiling (e.g.
-// a plateau) the tight pass retries with the real gainUB, paying the
+// pass replaces gainUB(w) by the constant ceiling min(sumTD, excessUB):
+// sumTD = gainUB(0) bounds gainUB everywhere, and excessUB — +Inf off
+// structurally metric hosts — bounds every acquiring gain outright, the
+// bound skipAcquire already tests. The envelope minus the price is still
+// non-increasing in w, and excessUB − price(w) <= eps − refundMax − slack
+// implies skipAcquire's excess check for every refund <= refundMax, so
+// the soundness argument above carries over unchanged. Every probe is
+// O(1) and the geo tier's common case never sorts the distance row at
+// all; when the price function cannot overtake the ceiling (e.g. a
+// plateau) the tight pass retries with the real gainUB, paying the
 // one-time sort. Each pass first doubles out of the certified bracket's
 // complement, then bisects to tighten the radius. The returned r itself
 // always satisfies the certificate, so an inclusive source query at
@@ -219,8 +226,9 @@ func (pb *moveBounds) acquireCutoff(refundMax float64) (r float64, ok bool) {
 	if math.IsNaN(threshold) || math.IsInf(threshold, -1) {
 		return 0, false
 	}
+	ceiling := min(pb.sumTD, pb.excessUB)
 	if r, ok = pb.cutoffSearch(func(w float64) float64 {
-		return pb.sumTD - pb.rules.AcquirePrice(pb.alpha, w)
+		return ceiling - pb.rules.AcquirePrice(pb.alpha, w)
 	}, threshold); ok {
 		return r, true
 	}

@@ -401,9 +401,10 @@ func (s *State) newMoveBounds(u int, cur float64) *moveBounds {
 
 // ensureSorted builds the sorted-row prefix arrays behind gainUB on
 // first use. The O(n log n) sort is deferred because the geometric
-// candidate tier usually resolves its whole scan from the coarse sumTD
-// ceiling and the O(1) pair bound — the common large-n case never pays
-// for a sort it does not consult.
+// candidate tier usually resolves its whole scan from the coarse
+// min(sumTD, excessUB) ceiling and the O(1) pair bound, and the
+// verifier's certificate consults gainUB only where those lose — the
+// common large-n case never pays for a sort it does not consult.
 func (pb *moveBounds) ensureSorted() {
 	if pb.ds != nil || pb.pairs == nil {
 		return

@@ -59,16 +59,18 @@ func (c GainCertificate) RulesOutAcquisitions(eps float64) bool {
 }
 
 // AcquireGainCertificate computes agent u's gain-bound certificate in
-// one O(n log n) pass (sorted-row prefix sums, then an O(log n) bound
-// per candidate). Prices and refunds go through the cost model's
-// AcquirePrice, so certificates stay sound under any Rules that
-// declares the gain bounds applicable. ok is false when u's current
-// cost is infinite (an agent that cannot reach a positive-demand node
-// gains unboundedly from reconnection, so no finite bound exists) or
-// when the model's GainBoundsSound is false; callers must then fall
-// back to a real scan. The bound ranges over every non-owned candidate
-// — a superset of the model-feasible ones — which can only loosen it,
-// never unsoundly tighten it.
+// one pass over the candidates: O(1) bounds each, plus an O(log n)
+// sorted-row bound (after a one-time O(n log n) sort) only for
+// candidates the O(1) bounds leave able to raise the running maximum.
+// Prices and refunds go through the cost model's AcquirePrice, so
+// certificates stay sound under any Rules that declares the gain bounds
+// applicable. ok is false when u's current cost is infinite (an agent
+// that cannot reach a positive-demand node gains unboundedly from
+// reconnection, so no finite bound exists) or when the model's
+// GainBoundsSound is false; callers must then fall back to a real scan.
+// The bound ranges over every non-owned candidate — a superset of the
+// model-feasible ones — which can only loosen it, never unsoundly
+// tighten it.
 func (s *State) AcquireGainCertificate(u int) (cert GainCertificate, ok bool) {
 	cur := s.Cost(u)
 	pb := s.newMoveBounds(u, cur)
@@ -86,9 +88,14 @@ func (s *State) AcquireGainCertificate(u int) (cert GainCertificate, ok bool) {
 		if math.IsInf(w, 1) {
 			continue // unbuyable pair: the edge price alone is +Inf
 		}
-		// O(1) triangle bound and the sorted-row bound; the smaller
-		// wins. duv[x] may be +Inf (unreachable zero-demand node): the
-		// pair bound is then +Inf and only the row bound constrains.
+		// O(1) triangle bound, the excess ceiling and the sorted-row
+		// bound; the smallest wins. duv[x] may be +Inf (unreachable
+		// zero-demand node): the pair bound is then +Inf and only the
+		// other two constrain. Float subtraction is monotone, so when the
+		// O(1) bounds alone cannot raise AcquireBound, neither can the
+		// smaller three-way minimum: gainUB, and the lazy row sort behind
+		// it, is skipped without changing a bit of the result.
+		price := pb.rules.AcquirePrice(pb.alpha, w)
 		var pair float64
 		if duy := pb.duv[x]; pb.tpos > 0 && duy > w {
 			pair = pb.tpos * (duy - w)
@@ -97,10 +104,13 @@ func (s *State) AcquireGainCertificate(u int) (cert GainCertificate, ok bool) {
 		if pb.excessUB < b {
 			b = pb.excessUB
 		}
+		if b-price <= cert.AcquireBound {
+			continue
+		}
 		if g := pb.gainUB(w); g < b {
 			b = g
 		}
-		if net := b - pb.rules.AcquirePrice(pb.alpha, w); net > cert.AcquireBound {
+		if net := b - price; net > cert.AcquireBound {
 			cert.AcquireBound = net
 		}
 	}
@@ -181,10 +191,10 @@ type agentVerdict struct {
 // contract (pinned by TestVerifyParallelMatchesSerialOracle).
 //
 // Each agent is checked at the cheapest sufficient tier: its
-// GainCertificate first (one O(n log n) bound pass); if the certificate
-// rules out every buy and swap, only the agent's |S_u| deletions are
-// evaluated exactly and the quadratic candidate scan is skipped
-// entirely (counted in CertSkipped). Otherwise the agent runs a full
+// GainCertificate first (one bound pass over the candidates); if the
+// certificate rules out every buy and swap, only the agent's |S_u|
+// deletions are evaluated exactly and the quadratic candidate scan is
+// skipped entirely (counted in CertSkipped). Otherwise the agent runs a full
 // scan — pruned by default, exhaustive under Exact.
 func VerifyGreedyEquilibrium(s *State, opt VerifyOptions) VerifyResult {
 	n := s.G.N()

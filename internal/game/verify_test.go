@@ -1,6 +1,7 @@
 package game
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -162,4 +163,89 @@ func TestVerifyCertSkipsAtScaleEquilibrium(t *testing.T) {
 		t.Fatalf("expected certificate skips at a large-alpha equilibrium, got 0 of %d agents", n)
 	}
 	t.Logf("cert skipped %d / %d agents", res.CertSkipped, n)
+}
+
+// TestAcquireGainCertificateMatchesFullMax pins the certificate's value,
+// not just its soundness: AcquireBound, MaxRefund and Slack must equal,
+// bit for bit, a reference that evaluates min(pair, excessUB, gainUB) −
+// price for every candidate with no dominance skip, across the host
+// corpus, an α ladder, uniform and random traffic, and random and star
+// profiles.
+func TestAcquireGainCertificateMatchesFullMax(t *testing.T) {
+	const n = 28
+	fullMax := func(s *State, u int) (GainCertificate, bool) {
+		pb := s.newMoveBounds(u, s.Cost(u))
+		if pb == nil {
+			return GainCertificate{}, false
+		}
+		cert := GainCertificate{Agent: u, AcquireBound: math.Inf(-1), Slack: pb.slack}
+		owned := s.P.S[u]
+		for x := 0; x < n; x++ {
+			if x == u || owned.Has(x) {
+				continue
+			}
+			w := s.hostWeight(u, x)
+			if math.IsInf(w, 1) {
+				continue
+			}
+			var pair float64
+			if duy := pb.duv[x]; pb.tpos > 0 && duy > w {
+				pair = pb.tpos * (duy - w)
+			}
+			b := pair
+			if pb.excessUB < b {
+				b = pb.excessUB
+			}
+			if g := pb.gainUB(w); g < b {
+				b = g
+			}
+			if net := b - pb.rules.AcquirePrice(pb.alpha, w); net > cert.AcquireBound {
+				cert.AcquireBound = net
+			}
+		}
+		cert.MaxRefund = s.maxRefundPrice(u, owned)
+		return cert, true
+	}
+	bits := func(c GainCertificate) [3]uint64 {
+		return [3]uint64{math.Float64bits(c.AcquireBound), math.Float64bits(c.MaxRefund), math.Float64bits(c.Slack)}
+	}
+	for seed := int64(1); seed <= 2; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		for name, space := range corpusHosts(t, seed, n) {
+			for _, alpha := range []float64{0.5, 3, 16 * n} {
+				for _, withTraffic := range []bool{false, true} {
+					g := New(NewHost(space), alpha)
+					if withTraffic {
+						tr := make([][]float64, n)
+						for u := range tr {
+							tr[u] = make([]float64, n)
+							for v := range tr[u] {
+								if v != u && rng.Intn(3) > 0 {
+									tr[u][v] = rng.Float64() * 2
+								}
+							}
+						}
+						if err := g.SetTraffic(tr); err != nil {
+							t.Fatal(err)
+						}
+					}
+					profiles := map[string]Profile{
+						"random": randomProfile(rng, n, 0.12),
+						"star":   StarProfile(n, rng.Intn(n)),
+					}
+					for pname, prof := range profiles {
+						s := NewState(g, prof)
+						for u := 0; u < n; u++ {
+							got, gok := s.AcquireGainCertificate(u)
+							want, wok := fullMax(s, u)
+							if gok != wok || bits(got) != bits(want) || got.Agent != want.Agent {
+								t.Fatalf("%s alpha=%v traffic=%v %s seed=%d agent %d: certificate (%+v, %v) != full max (%+v, %v)",
+									name, alpha, withTraffic, pname, seed, u, got, gok, want, wok)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
 }

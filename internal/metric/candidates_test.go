@@ -105,67 +105,107 @@ func TestTreeAppendWithinMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestTreeLCADistMatchesNaive pins the binary-lifting LCA labels
-// against a naive parent-walk LCA evaluating the same closed form
-// dist[u] + dist[v] - 2*dist[lca] — bit-equality, not approximation.
+// TestTreeLCADistMatchesNaive pins the sparse-table LCA against a naive
+// ancestor-marking LCA evaluating the same closed form
+// dist[u] + dist[v] - 2*dist[lca] over every vertex pair — bit-equality,
+// not approximation. The shapes cover the degenerate sizes, a path deep
+// enough to reach the table's top level, a star, a caterpillar, and
+// zero-weight edges.
 func TestTreeLCADistMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	for _, n := range []int{2, 17, 90} {
+	randomTree := func(n int, weight func() float64) []graph.Edge {
 		edges := make([]graph.Edge, 0, n-1)
 		for v := 1; v < n; v++ {
-			edges = append(edges, graph.Edge{U: rng.Intn(v), V: v, W: rng.Float64() * 3})
+			edges = append(edges, graph.Edge{U: rng.Intn(v), V: v, W: weight()})
 		}
-		tm, err := NewTreeMetric(n, edges)
+		return edges
+	}
+	uniform := func() float64 { return rng.Float64() * 3 }
+	zeroHeavy := func() float64 { return []float64{0, 0, 1, 0.5, rng.Float64()}[rng.Intn(5)] }
+	path := make([]graph.Edge, 0, 999)
+	for v := 1; v < 1000; v++ {
+		path = append(path, graph.Edge{U: v - 1, V: v, W: zeroHeavy()})
+	}
+	star := make([]graph.Edge, 0, 49)
+	for v := 0; v < 50; v++ {
+		if v != 7 {
+			star = append(star, graph.Edge{U: 7, V: v, W: uniform()})
+		}
+	}
+	var caterpillar []graph.Edge
+	for s := 1; s < 20; s++ {
+		caterpillar = append(caterpillar, graph.Edge{U: s - 1, V: s, W: uniform()})
+	}
+	for leg := 20; leg < 80; leg++ {
+		caterpillar = append(caterpillar, graph.Edge{U: leg % 20, V: leg, W: zeroHeavy()})
+	}
+	for _, tc := range []struct {
+		name  string
+		n     int
+		edges []graph.Edge
+	}{
+		{"single", 1, nil},
+		{"pair", 2, []graph.Edge{{U: 0, V: 1, W: 1.5}}},
+		{"random17", 17, randomTree(17, uniform)},
+		{"random90", 90, randomTree(90, uniform)},
+		{"zeros90", 90, randomTree(90, zeroHeavy)},
+		{"path1000", 1000, path},
+		{"star50", 50, star},
+		{"caterpillar80", 80, caterpillar},
+	} {
+		n := tc.n
+		tm, err := NewTreeMetric(n, tc.edges)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Rebuild parent/depth/root-distance naively from the edge list.
+		// Rebuild parents and root distances naively from the edge list;
+		// topo lists every vertex after its parent.
 		adj := make([][]graph.Edge, n)
-		for _, e := range edges {
+		for _, e := range tc.edges {
 			adj[e.U] = append(adj[e.U], e)
 			adj[e.V] = append(adj[e.V], graph.Edge{U: e.V, V: e.U, W: e.W})
 		}
 		parent := make([]int, n)
-		depth := make([]int, n)
 		rootDist := make([]float64, n)
 		parent[0] = -1
 		seen := make([]bool, n)
 		seen[0] = true
-		stack := []int{0}
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
+		topo := []int{0}
+		for i := 0; i < len(topo); i++ {
+			v := topo[i]
 			for _, e := range adj[v] {
 				if !seen[e.V] {
 					seen[e.V] = true
 					parent[e.V] = v
-					depth[e.V] = depth[v] + 1
 					rootDist[e.V] = rootDist[v] + e.W
-					stack = append(stack, e.V)
+					topo = append(topo, e.V)
 				}
 			}
 		}
-		naiveLCA := func(u, v int) int {
-			for depth[u] > depth[v] {
-				u = parent[u]
+		// For each u: mark u's ancestors, then lca[v] is v itself when
+		// marked, else its parent's lca.
+		marked := make([]bool, n)
+		lca := make([]int, n)
+		for u := 0; u < n; u++ {
+			clear(marked)
+			for a := u; a >= 0; a = parent[a] {
+				marked[a] = true
 			}
-			for depth[v] > depth[u] {
-				v = parent[v]
+			for _, v := range topo {
+				if marked[v] {
+					lca[v] = v
+				} else {
+					lca[v] = lca[parent[v]]
+				}
 			}
-			for u != v {
-				u, v = parent[u], parent[v]
-			}
-			return u
-		}
-		for trial := 0; trial < 60; trial++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			var want float64
-			if u != v {
-				l := naiveLCA(u, v)
-				want = rootDist[u] + rootDist[v] - 2*rootDist[l]
-			}
-			if got := tm.Dist(u, v); got != want {
-				t.Fatalf("n=%d Dist(%d,%d) = %v, naive %v", n, u, v, got, want)
+			for v := 0; v < n; v++ {
+				var want float64
+				if u != v {
+					want = rootDist[u] + rootDist[v] - 2*rootDist[lca[v]]
+				}
+				if got := tm.Dist(u, v); got != want {
+					t.Fatalf("%s: Dist(%d,%d) = %v, naive %v", tc.name, u, v, got, want)
+				}
 			}
 		}
 	}

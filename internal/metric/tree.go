@@ -3,6 +3,7 @@ package metric
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -11,17 +12,21 @@ import (
 )
 
 // TreeMetric is the metric closure of an edge-weighted tree: the host
-// space of the T–GNCG. Distance queries run in O(log n) via binary-lifting
-// LCA after an O(n log n) preprocessing pass. A lazily-built adjacency
+// space of the T–GNCG. Distance queries run in O(1): the LCA is a
+// range-minimum query over the DFS preorder, answered by a sparse table
+// built in an O(n log n) preprocessing pass. A lazily-built adjacency
 // index answers neighborhood queries by truncated traversal
 // (CandidateSource capability); TreeMetric must not be copied by value
 // after first use.
 type TreeMetric struct {
-	n      int
-	edges  []graph.Edge
-	parent [][]int // parent[k][v] = 2^k-th ancestor of v (-1 above root)
-	depth  []int
-	dist   []float64 // weighted distance from root
+	n     int
+	edges []graph.Edge
+	dist  []float64 // weighted distance from root
+	tin   []int32   // preorder index of each vertex
+	order []int32   // order[i] = vertex with preorder index i
+	// rmq[k][i] = min of tin[parent(order[j])] over j in [i, i+2^k); the
+	// minimum over (tin[u], tin[v]] is tin[LCA(u,v)] for tin[u] < tin[v].
+	rmq [][]int32
 
 	idxOnce sync.Once
 	index   *geom.TreeIndex
@@ -47,45 +52,49 @@ func NewTreeMetric(n int, edges []graph.Edge) (*TreeMetric, error) {
 	tm := &TreeMetric{
 		n:     n,
 		edges: append([]graph.Edge(nil), edges...),
-		depth: make([]int, n),
 		dist:  make([]float64, n),
+		tin:   make([]int32, n),
+		order: make([]int32, 0, n),
 	}
-	levels := 1
-	for 1<<levels < n {
-		levels++
-	}
-	tm.parent = make([][]int, levels)
-	for k := range tm.parent {
-		tm.parent[k] = make([]int, n)
-		for v := range tm.parent[k] {
-			tm.parent[k][v] = -1
-		}
-	}
-	// Iterative DFS from root 0 computing depth, root distance, parents.
-	type frame struct{ v, from int }
-	stack := []frame{{0, -1}}
+	// Iterative DFS from root 0 computing root distances and parents. A
+	// vertex is pushed once, by its parent, and its whole subtree is
+	// popped before anything below it on the stack, so pop order is a
+	// preorder.
+	parent := make([]int32, n)
+	parent[0] = -1
+	stack := []int32{0}
 	seen := make([]bool, n)
 	seen[0] = true
 	for len(stack) > 0 {
-		f := stack[len(stack)-1]
+		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		g.Neighbors(f.v, func(to int, w float64) {
+		tm.tin[v] = int32(len(tm.order))
+		tm.order = append(tm.order, v)
+		g.Neighbors(int(v), func(to int, w float64) {
 			if seen[to] {
 				return
 			}
 			seen[to] = true
-			tm.parent[0][to] = f.v
-			tm.depth[to] = tm.depth[f.v] + 1
-			tm.dist[to] = tm.dist[f.v] + w
-			stack = append(stack, frame{to, f.v})
+			parent[to] = v
+			tm.dist[to] = tm.dist[v] + w
+			stack = append(stack, int32(to))
 		})
 	}
-	for k := 1; k < levels; k++ {
-		for v := 0; v < n; v++ {
-			if p := tm.parent[k-1][v]; p >= 0 {
-				tm.parent[k][v] = tm.parent[k-1][p]
-			}
+	// Sparse table over tin[parent(order[i])]; entry 0 (the root) is
+	// never inside a query range and keeps its -1 placeholder.
+	level := make([]int32, n)
+	level[0] = -1
+	for i := 1; i < n; i++ {
+		level[i] = tm.tin[parent[tm.order[i]]]
+	}
+	tm.rmq = [][]int32{level}
+	for k := 1; 1<<k <= n; k++ {
+		prev, half := tm.rmq[k-1], 1<<(k-1)
+		next := make([]int32, n-1<<k+1)
+		for i := range next {
+			next[i] = min(prev[i], prev[i+half])
 		}
+		tm.rmq = append(tm.rmq, next)
 	}
 	return tm, nil
 }
@@ -158,25 +167,18 @@ func (tm *TreeMetric) NearestOtherDist(u int) float64 {
 	return best
 }
 
+// lca returns the lowest common ancestor of distinct u and v. With
+// tin[u] < tin[v], every vertex in the preorder range (tin[u], tin[v]]
+// lies strictly below the LCA, and the LCA's child towards v lies in
+// it, so the smallest parent preorder index over the range is the
+// LCA's own.
 func (tm *TreeMetric) lca(u, v int) int {
-	if tm.depth[u] < tm.depth[v] {
-		u, v = v, u
+	lo, hi := tm.tin[u], tm.tin[v]
+	if lo > hi {
+		lo, hi = hi, lo
 	}
-	diff := tm.depth[u] - tm.depth[v]
-	for k := 0; diff != 0; k++ {
-		if diff&1 != 0 {
-			u = tm.parent[k][u]
-		}
-		diff >>= 1
-	}
-	if u == v {
-		return u
-	}
-	for k := len(tm.parent) - 1; k >= 0; k-- {
-		if tm.parent[k][u] != tm.parent[k][v] {
-			u = tm.parent[k][u]
-			v = tm.parent[k][v]
-		}
-	}
-	return tm.parent[0][u]
+	lo++
+	k := bits.Len32(uint32(hi-lo+1)) - 1
+	row := tm.rmq[k]
+	return int(tm.order[min(row[lo], row[hi-1<<k+1])])
 }
