@@ -419,17 +419,15 @@ func BenchmarkConjecture1FIP(b *testing.B) {
 
 // ---- distance-cache benchmarks ----
 //
-// Each pair runs the same workload with the state's distance cache on
-// (the default) and off (the pre-cache baseline): repeated cost queries,
+// Workloads served by the state's distance cache: repeated cost queries,
 // greedy move dynamics, and exact Nash verification.
 
-// benchmarkCostQueries is the harness evaluation pattern: social cost
-// plus every agent's cost against one unchanged state.
-func benchmarkCostQueries(b *testing.B, cached bool) {
+// BenchmarkCostQueriesCached is the harness evaluation pattern: social
+// cost plus every agent's cost against one unchanged state.
+func BenchmarkCostQueriesCached(b *testing.B) {
 	n := 80
 	g := game.New(game.NewHost(gen.Points(9, n, 2, 100, 2)), 4)
 	s := game.NewState(g, game.StarProfile(n, 0))
-	s.SetDistCaching(cached)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = s.SocialCost()
@@ -439,39 +437,31 @@ func benchmarkCostQueries(b *testing.B, cached bool) {
 	}
 }
 
-func BenchmarkCostQueriesCached(b *testing.B)   { benchmarkCostQueries(b, true) }
-func BenchmarkCostQueriesUncached(b *testing.B) { benchmarkCostQueries(b, false) }
-
-// benchmarkGreedyDynamics runs greedy move dynamics from a star seed —
-// the BestSingleMove scan re-queries the mover's current cost and
+// BenchmarkGreedyDynamicsCached runs greedy move dynamics from a star
+// seed — the BestSingleMove scan re-queries the mover's current cost and
 // speculatively evaluates candidates, which the cache's snapshot/restore
 // turns into hits for untouched sources.
-func benchmarkGreedyDynamics(b *testing.B, cached bool) {
+func BenchmarkGreedyDynamicsCached(b *testing.B) {
 	n := 24
 	g := game.New(game.NewHost(gen.Points(4, n, 2, 10, 2)), 1.5)
 	p := game.StarProfile(n, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := game.NewState(g, p.Clone())
-		s.SetDistCaching(cached)
 		dynamics.Run(s, dynamics.GreedyMover, dynamics.RoundRobin{}, 200)
 		_ = s.SocialCost()
 	}
 }
 
-func BenchmarkGreedyDynamicsCached(b *testing.B)   { benchmarkGreedyDynamics(b, true) }
-func BenchmarkGreedyDynamicsUncached(b *testing.B) { benchmarkGreedyDynamics(b, false) }
-
-// benchmarkNashVerify measures the experiments' equilibrium-check
+// BenchmarkNashVerifyCached measures the experiments' equilibrium-check
 // pattern: exact Nash verification, the approximation factor, and the
-// social cost of the same state (the PoA numerator). The verification
-// passes consume the same per-source rows and G∖u all-pairs matrices,
-// which the cache computes once per network version.
-func benchmarkNashVerify(b *testing.B, cached bool) {
+// social cost of the same state (the PoA numerator). The UMFL solves
+// behind the two verification passes dominate; the social cost reads
+// cached rows.
+func BenchmarkNashVerifyCached(b *testing.B) {
 	n := 14
 	g := game.New(game.NewHost(gen.Points(4, n, 2, 10, 2)), 1.5)
 	s := game.NewState(g, game.StarProfile(n, 0))
-	s.SetDistCaching(cached)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = bestresponse.IsNash(s)
@@ -479,9 +469,6 @@ func benchmarkNashVerify(b *testing.B, cached bool) {
 		_ = s.SocialCost()
 	}
 }
-
-func BenchmarkNashVerifyCached(b *testing.B)   { benchmarkNashVerify(b, true) }
-func BenchmarkNashVerifyUncached(b *testing.B) { benchmarkNashVerify(b, false) }
 
 // ---- lazy-host construction and memory benchmarks ----
 //
@@ -656,33 +643,20 @@ func randomUMFL(nf, nc int) *facility.Instance {
 // ---- incremental-repair and pruned-scan benchmarks ----
 //
 // The greedy-dynamics hot path: BestSingleMove evaluates O(n²) candidate
-// moves, each via a speculative single-edge mutation. Before this PR the
-// cache invalidated wholesale on any edge change, so every candidate paid
-// a fresh Dijkstra; now cached rows are repaired in place across the move
-// and its undo (internal/graph's Ramalingam–Reps primitives) and the scan
-// skips candidates whose distance-gain bound cannot beat the running
-// best. The *Baseline benchmarks keep the exhaustive scan with caching
-// off — each speculative evaluation recomputes from scratch, which is
-// what the invalidate-everything cache paid on this workload — and are
-// the ≥5x reference the CI benchdiff artifact records.
+// moves, each via a speculative single-edge mutation. Cached rows are
+// repaired in place across the move and its undo (internal/graph's
+// Ramalingam–Reps primitives) and the scan skips candidates whose
+// distance-gain bound cannot beat the running best.
 
-func benchmarkBestSingleMove(b *testing.B, n int, incremental bool) {
+func BenchmarkBestSingleMove1k(b *testing.B) {
+	n := 1000
 	g := game.New(game.NewHost(gen.Points(7, n, 2, 1000, 2)), 8)
 	s := game.NewState(g, game.StarProfile(n, 0))
-	s.SetDistCaching(incremental)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		u := 1 + i%(n-1)
-		if incremental {
-			_, _, _ = s.BestSingleMove(u)
-		} else {
-			_, _, _ = s.BestSingleMoveExact(u)
-		}
+		_, _, _ = s.BestSingleMove(1 + i%(n-1))
 	}
 }
-
-func BenchmarkBestSingleMove1k(b *testing.B)         { benchmarkBestSingleMove(b, 1000, true) }
-func BenchmarkBestSingleMoveBaseline1k(b *testing.B) { benchmarkBestSingleMove(b, 1000, false) }
 
 // BenchmarkBestSingleMoveNoPrune1k isolates the two halves of the
 // speedup: incremental repair without candidate pruning.
@@ -696,35 +670,25 @@ func BenchmarkBestSingleMoveNoPrune1k(b *testing.B) {
 	}
 }
 
-// benchmarkGreedyRound measures a round of applied greedy moves (scan +
-// Apply for a block of agents) on an n-agent star — the unit of work the
-// scale sweep ladders up.
-func benchmarkGreedyRound(b *testing.B, n int, incremental bool) {
+// BenchmarkGreedyRound500 measures a round of applied greedy moves (scan
+// + Apply for a block of agents) on an n-agent star — the unit of work
+// the scale sweep ladders up.
+func BenchmarkGreedyRound500(b *testing.B) {
+	n := 500
 	g := game.New(game.NewHost(gen.Points(7, n, 2, 1000, 2)), 8)
 	p := game.StarProfile(n, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		s := game.NewState(g, p.Clone())
-		s.SetDistCaching(incremental)
 		b.StartTimer()
 		for u := 1; u <= 16; u++ {
-			var m game.Move
-			var ok bool
-			if incremental {
-				m, _, ok = s.BestSingleMove(u)
-			} else {
-				m, _, ok = s.BestSingleMoveExact(u)
-			}
-			if ok {
+			if m, _, ok := s.BestSingleMove(u); ok {
 				s.Apply(m)
 			}
 		}
 	}
 }
-
-func BenchmarkGreedyRound500(b *testing.B)         { benchmarkGreedyRound(b, 500, true) }
-func BenchmarkGreedyRoundBaseline500(b *testing.B) { benchmarkGreedyRound(b, 500, false) }
 
 // BenchmarkConvergence1k is the equilibrium ladder's unit of work: full
 // greedy dynamics to a verified equilibrium (no improving single-edge

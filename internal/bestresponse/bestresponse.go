@@ -67,10 +67,9 @@ func BuildInstance(s *game.State, u int) (*facility.Instance, Mapping) {
 		}
 	}
 	// Distances in G(s) with u removed: edges bought towards u still
-	// appear in G(s), but no path may pass through u itself. Memoized on
-	// the state, so repeated checks against an unchanged network (Nash
-	// verification after dynamics, ownership search) pay once.
-	D := s.APSPAvoiding(u)
+	// appear in G(s), but no path may pass through u itself. Computed
+	// fresh per call; the UMFL solve that consumes them dominates.
+	D := s.Network().APSPAvoiding(u)
 
 	nf := len(nodes)
 	openCost := make([]float64, nf)

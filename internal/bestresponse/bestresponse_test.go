@@ -3,11 +3,14 @@ package bestresponse
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"gncg/internal/game"
 	"gncg/internal/metric"
+	"gncg/internal/rules"
 )
 
 func randomPointGame(rng *rand.Rand, n int, alpha float64) *game.Game {
@@ -216,5 +219,33 @@ func TestNashApproxFactorMonotone(t *testing.T) {
 	again := Exact(s, 3)
 	if g.Improves(again.Cost, s.Cost(3)) {
 		t.Fatal("agent can improve immediately after playing its exact best response")
+	}
+}
+
+// TestBudgetRefusalReachesCaller: under the budget model the UMFL
+// reduction refuses with a panic raised inside the parallel per-agent
+// loop. The caller must be able to recover that refusal; a panic left on
+// a worker goroutine would kill the whole process instead.
+func TestBudgetRefusalReachesCaller(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // run the loop on worker goroutines
+	}
+	rng := rand.New(rand.NewSource(3))
+	g := randomPointGame(rng, 6, 5)
+	g.SetRules(rules.Budget{})
+	s := game.NewState(g, game.StarProfile(6, 0))
+	for name, call := range map[string]func(){
+		"NashApproxFactor": func() { NashApproxFactor(s) },
+		"FirstDeviation":   func() { FirstDeviation(s) },
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if msg, ok := r.(string); !ok || !strings.Contains(msg, "budget") {
+					t.Errorf("%s: recovered %v, want the budget-model refusal", name, r)
+				}
+			}()
+			call()
+		}()
 	}
 }

@@ -148,7 +148,7 @@ func (c *distCache) clearAggScratch() {
 func (c *distCache) aggTotal(s *State, u int, countHit bool) (float64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.off || c.rows[u] == nil || c.rowPos[u] != c.head {
+	if c.rows[u] == nil || c.rowPos[u] != c.head {
 		return 0, false
 	}
 	a := &c.agg[u]

@@ -7,10 +7,9 @@ import (
 )
 
 // distCache memoizes shortest-path computations on the created network
-// G(s): per-source Dijkstra rows (backing DistCost/Cost/SocialCost), the
-// per-row traffic-weighted distance-sum aggregates that make repeated
-// cost queries O(1) (see aggregate.go), and per-removed-vertex APSP
-// matrices (backing the best-response reduction's G∖u distances).
+// G(s): per-source Dijkstra rows (backing DistCost/Cost/SocialCost) and
+// the per-row traffic-weighted distance-sum aggregates that make repeated
+// cost queries O(1) (see aggregate.go).
 //
 // The cache is lazy: an applied edge change never touches a cached row.
 // Every single-edge mutation appends one delta to a bounded log and
@@ -62,24 +61,17 @@ type distCache struct {
 	cap    int // max cached rows
 	clock  int // eviction sweep pointer
 
-	avoid    [][][]float64 // avoid[u]: APSP of G(s) with vertex u removed
-	avoidPos []uint64
-
-	// Speculation bookkeeping: while a snapshot is outstanding, every row
-	// or matrix whose position is (re)assigned is recorded so restore can
-	// fix up exactly the entries the speculation touched instead of
-	// scanning all n, and the first time a row is repaired inside the
-	// window its pre-repair contents are journaled (one memcopy) so
-	// restore can swap them back instead of repairing in reverse — on
-	// tie-heavy hosts the reverse removal repair routinely blows its
-	// affected-set budget and would cost a fresh Dijkstra per speculative
-	// candidate. Overlapping snapshots (not produced by CostAfter, but
-	// tolerated) drop the journals and degrade to a full scan.
-	specDepth   int
-	specOverlap bool
-	restoring   bool
+	// Speculation bookkeeping: while the snapshot is outstanding, every
+	// row whose position is (re)assigned is recorded so restore can fix
+	// up exactly the rows the speculation touched instead of scanning all
+	// n, and the first time a row is repaired inside the window its
+	// pre-repair contents are journaled (one memcopy) so restore can swap
+	// them back instead of repairing in reverse — on tie-heavy hosts the
+	// reverse removal repair routinely blows its affected-set budget and
+	// would cost a fresh Dijkstra per speculative candidate. There is at
+	// most one window at a time: CostAfter never nests.
+	speculating bool
 	specRows    []int
-	specAvoid   []int
 	specSaved   []rowJournal
 	rowPool     [][]float64 // spare row buffers recycled through the journal
 
@@ -88,8 +80,6 @@ type distCache struct {
 	aggDirtyFlag []bool
 
 	stats CacheStats
-
-	off bool
 }
 
 // CacheStats counts distance-cache events over a state's lifetime — the
@@ -152,12 +142,6 @@ type rowJournal struct {
 // price of a fresh Dijkstra anyway.
 const maxPendingDeltas = 96
 
-// avoidCacheMaxN bounds the vertex count for which G∖u matrices are
-// cached: each entry is n² floats and up to n of them can be live, so the
-// worst case is n³ — fine for the exact-verification tier (IsNash & co.
-// are exponential anyway), wasteful beyond it.
-const avoidCacheMaxN = 128
-
 // rowCacheCap returns the maximum number of cached distance rows for an
 // n-agent state: every row up to a ~256 MiB row budget, so small and
 // mid-size states cache everything and a 10k-agent state holds a few
@@ -177,16 +161,13 @@ var rowCacheCap = func(n int) int {
 	return c
 }
 
-func newDistCache(n int, off bool) *distCache {
+func newDistCache(n int) *distCache {
 	return &distCache{
 		rows:         make([][]float64, n),
 		rowPos:       make([]uint64, n),
 		agg:          make([]rowAgg, n),
 		cap:          rowCacheCap(n),
-		avoid:        make([][][]float64, n),
-		avoidPos:     make([]uint64, n),
 		aggDirtyFlag: make([]bool, (n+aggBlock-1)/aggBlock),
-		off:          off,
 	}
 }
 
@@ -289,7 +270,7 @@ func (c *distCache) replayRowLocked(s *State, i int) bool {
 // first time a speculation window is about to repair it, so restore can
 // swap the pre-speculation state back in O(1).
 func (c *distCache) journalRowLocked(i int) {
-	if c.specDepth == 0 || c.restoring || c.specOverlap {
+	if !c.speculating {
 		return
 	}
 	for _, j := range c.specSaved {
@@ -320,7 +301,7 @@ func (c *distCache) getRowBufLocked(n int) []float64 {
 
 func (c *distCache) setRowPosLocked(i int, pos uint64) {
 	c.rowPos[i] = pos
-	if c.specDepth > 0 && !c.restoring {
+	if c.speculating {
 		c.specRows = append(c.specRows, i)
 	}
 }
@@ -372,16 +353,15 @@ func (c *distCache) evictOneLocked(keep int) {
 	}
 }
 
-// snapshot opens a speculation window and returns the current head
-// position for a later restore.
+// snapshot opens the speculation window and returns the current head
+// position for the matching restore. Windows do not nest.
 func (c *distCache) snapshot() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.specDepth++
-	if c.specDepth > 1 {
-		c.specOverlap = true
-		c.specSaved = c.specSaved[:0] // ambiguous across windows: fall back to replay
+	if c.speculating {
+		panic("game: nested distance-cache snapshot")
 	}
+	c.speculating = true
 	return c.head
 }
 
@@ -397,7 +377,9 @@ func (c *distCache) snapshot() uint64 {
 func (c *distCache) restore(s *State, snap uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.restoring = true
+	// Close the window first, so the repairs below are neither journaled
+	// nor recorded.
+	c.speculating = false
 	// Journaled rows swap their pre-speculation contents back: O(1), no
 	// reverse repair. (A journal can carry a mid-window position if the
 	// row was first re-stamped across an empty diff; those fall through
@@ -417,11 +399,7 @@ func (c *distCache) restore(s *State, snap uint64) {
 		c.rowPos[j.i] = j.pos
 	}
 	c.specSaved = c.specSaved[:0]
-	rows, avoids := c.specRows, c.specAvoid
-	if c.specOverlap {
-		rows, avoids = seq(len(c.rows)), seq(len(c.avoid))
-	}
-	for _, i := range rows {
+	for _, i := range c.specRows {
 		if c.rows[i] == nil || c.rowPos[i] <= snap {
 			continue
 		}
@@ -440,16 +418,6 @@ func (c *distCache) restore(s *State, snap uint64) {
 			c.rowPos[i] = snap
 		}
 	}
-	for _, i := range avoids {
-		if c.avoid[i] == nil || c.avoidPos[i] <= snap {
-			continue
-		}
-		if c.avoidPos[i] == c.head {
-			c.avoidPos[i] = snap
-		} else {
-			c.avoid[i] = nil
-		}
-	}
 	// Drop the speculative log suffix and rewind.
 	if snap >= c.base {
 		c.log = c.log[:snap-c.base]
@@ -458,21 +426,7 @@ func (c *distCache) restore(s *State, snap uint64) {
 		c.base = snap
 	}
 	c.head = snap
-	c.restoring = false
-	c.specDepth--
-	if c.specDepth == 0 {
-		c.specRows = c.specRows[:0]
-		c.specAvoid = c.specAvoid[:0]
-		c.specOverlap = false
-	}
-}
-
-func seq(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
+	c.specRows = c.specRows[:0]
 }
 
 // Dist returns shortest-path distances from src in G(s), memoized until
@@ -483,10 +437,6 @@ func seq(n int) []int {
 func (s *State) Dist(src int) []float64 {
 	c := s.cache
 	c.mu.Lock()
-	if c.off {
-		c.mu.Unlock()
-		return s.net.Dijkstra(src)
-	}
 	if row := c.rows[src]; row != nil {
 		if c.rowPos[src] == c.head {
 			c.stats.Hits++
@@ -517,57 +467,4 @@ func (s *State) Dist(src int) []float64 {
 	}
 	c.mu.Unlock()
 	return row
-}
-
-// APSPAvoiding returns all-pairs shortest paths in G(s) with vertex
-// `avoid` (and its incident edges) removed — the best-response
-// reduction's distance input — memoized until the network next changes.
-// Callers must not mutate the returned matrix.
-func (s *State) APSPAvoiding(avoid int) [][]float64 {
-	c := s.cache
-	if s.G.N() > avoidCacheMaxN {
-		return s.net.APSPAvoiding(avoid)
-	}
-	c.mu.Lock()
-	if c.off {
-		c.mu.Unlock()
-		return s.net.APSPAvoiding(avoid)
-	}
-	if c.avoid[avoid] != nil && c.avoidPos[avoid] == c.head {
-		m := c.avoid[avoid]
-		c.mu.Unlock()
-		return m
-	}
-	pos := c.head
-	c.mu.Unlock()
-	m := s.net.APSPAvoiding(avoid)
-	c.mu.Lock()
-	if c.head == pos {
-		c.avoid[avoid] = m
-		c.avoidPos[avoid] = pos
-		if c.specDepth > 0 && !c.restoring {
-			c.specAvoid = append(c.specAvoid, avoid)
-		}
-	}
-	c.mu.Unlock()
-	return m
-}
-
-// SetDistCaching toggles distance memoization on the state (on by
-// default). Turning it off makes every cost query recompute from scratch
-// — the uncached baseline used by benchmarks and correctness tests.
-// Delta logging continues while the toggle is off, so re-enabling is
-// always safe: parked rows either replay across the logged changes or
-// fall behind the horizon and recompute.
-func (s *State) SetDistCaching(on bool) {
-	s.cache.mu.Lock()
-	s.cache.off = !on
-	s.cache.mu.Unlock()
-}
-
-// DistCachingEnabled reports whether distance memoization is on.
-func (s *State) DistCachingEnabled() bool {
-	s.cache.mu.Lock()
-	defer s.cache.mu.Unlock()
-	return !s.cache.off
 }

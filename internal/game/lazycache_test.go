@@ -7,29 +7,28 @@ import (
 )
 
 // assertCostsBitEqualUncached compares every agent's DistCost/Cost and
-// the social cost on s against a fresh uncached state bound to the same
-// profile, bit-for-bit: the aggregate fast path, incremental block
-// maintenance across repairs, and from-scratch recomputation must be
-// numerically indistinguishable, not merely close.
+// the social cost on s against a from-scratch recomputation on a fresh
+// state bound to the same profile, bit-for-bit: the aggregate fast path,
+// incremental block maintenance across repairs, and from-scratch
+// recomputation must be numerically indistinguishable, not merely close.
 func assertCostsBitEqualUncached(t *testing.T, s *State, ctx string, step int) {
 	t.Helper()
 	fresh := NewState(s.G, s.P.Clone())
-	fresh.SetDistCaching(false)
 	n := s.G.N()
 	bitEq := func(a, b float64) bool {
 		return a == b || (math.IsInf(a, 1) && math.IsInf(b, 1))
 	}
 	for u := 0; u < n; u++ {
-		if got, want := s.DistCost(u), fresh.DistCost(u); !bitEq(got, want) {
+		if got, want := s.DistCost(u), uncachedDistCost(fresh, u); !bitEq(got, want) {
 			t.Fatalf("%s step %d: aggregate DistCost(%d) = %v, exact recomputation = %v",
 				ctx, step, u, got, want)
 		}
-		if got, want := s.Cost(u), fresh.Cost(u); !bitEq(got, want) {
+		if got, want := s.Cost(u), uncachedCost(fresh, u); !bitEq(got, want) {
 			t.Fatalf("%s step %d: aggregate Cost(%d) = %v, exact recomputation = %v",
 				ctx, step, u, got, want)
 		}
 	}
-	if got, want := s.SocialCost(), fresh.SocialCost(); !bitEq(got, want) {
+	if got, want := s.SocialCost(), uncachedSocialCost(fresh); !bitEq(got, want) {
 		t.Fatalf("%s step %d: aggregate SocialCost = %v, exact recomputation = %v", ctx, step, got, want)
 	}
 }
@@ -37,7 +36,7 @@ func assertCostsBitEqualUncached(t *testing.T, s *State, ctx string, step int) {
 // TestAggregateCostsBitEqualExact is the tentpole's numeric contract:
 // after randomized apply / speculative-evaluate / undo / bulk-replace
 // sequences on every host flavor, aggregate-based costs must be
-// bit-identical to exact recomputation on an uncached state.
+// bit-identical to exact from-scratch recomputation.
 func TestAggregateCostsBitEqualExact(t *testing.T) {
 	for _, flavor := range repairFlavors {
 		flavor := flavor
@@ -164,7 +163,7 @@ func TestRowCacheEviction(t *testing.T) {
 
 // TestTrafficChangeRebuildsAggregates: installing a demand matrix after
 // aggregates exist must invalidate them — DistCost must serve the new
-// demands, bit-equal to an uncached state under the same traffic.
+// demands, bit-equal to a from-scratch recomputation under the same traffic.
 func TestTrafficChangeRebuildsAggregates(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	n := 9

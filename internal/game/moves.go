@@ -96,11 +96,13 @@ func (s *State) Apply(m Move) {
 // CostAfter evaluates the mover's cost after the move without leaving the
 // state mutated. The speculative mutation is exactly undone, so distances
 // cached before the call are revalidated afterwards (cache.restore) and
-// surrounding scans pay only for the speculative network itself.
+// surrounding scans pay only for the speculative network itself. A
+// malformed move panics before the speculation window opens.
 func (s *State) CostAfter(m Move) float64 {
-	old := s.P.S[m.Agent].Clone()
+	old := s.P.S[m.Agent]
+	next := m.NewStrategy(old)
 	snap := s.cache.snapshot()
-	s.Apply(m)
+	s.SetStrategy(m.Agent, next)
 	c := s.Cost(m.Agent)
 	s.SetStrategy(m.Agent, old)
 	s.cache.restore(s, snap)
@@ -160,28 +162,60 @@ func (s *State) BestSingleMoveExact(u int) (best Move, cost float64, ok bool) {
 	return s.bestSingleMove(u, false)
 }
 
-// bestSingleMove scans candidates in CandidateMoves order (all buys in
-// ascending v, then per owned edge: the delete followed by its swaps in
-// ascending x), optionally skipping candidates that moveBounds proves
-// non-improving. Enumeration order is shared with the oracle so that the
-// first candidate attaining the minimum — which is never pruned — wins in
-// both scans.
+// bestSingleMove picks the scan tier for agent u and hands its
+// acquisition targets to scanMoves, the one scan loop every tier shares.
+// Every tier's targets ascend, as the oracle's do, so the first candidate
+// attaining the minimum — which is never pruned — wins in every tier.
 //
 // On top of the per-candidate pruning sit two geometric tiers (see
 // candidates.go), both reserved for pruned scans on hosts exposing the
 // capability they need, and both outcome-preserving: the metric excess
-// certificate, which
-// reduces the scan to the agent's deletions without enumerating
-// acquisition targets at all, and the candidate tier, which walks only
-// the host's CandidateSource neighborhood inside a certified cutoff
-// radius — every unenumerated target provably satisfies the same skip
-// condition the pruned scan applies. Acquisition candidates that DO get
-// enumerated are visited in the same ascending-index order in every
-// tier, so the first-attains-the-minimum tie-break never diverges.
+// certificate, which reduces the scan to the agent's deletions (no
+// targets at all), and the candidate tier, whose targets are the host's
+// CandidateSource neighborhood inside a certified cutoff radius — every
+// unenumerated target provably satisfies the same skip condition the
+// pruned scan applies. Every other scan targets every vertex.
 func (s *State) bestSingleMove(u int, prune bool) (best Move, cost float64, ok bool) {
 	cur := s.Cost(u)
+	owned := s.P.S[u]
+	if prune && s.excessRulesOutAcquisitions(u, cur, owned) {
+		s.scan.ExcessSkips++
+		return s.scanMoves(u, cur, nil, nil)
+	}
+	var pb *moveBounds
+	if prune {
+		pb = s.newMoveBounds(u, cur)
+	}
+	if pb != nil {
+		if src := s.G.Host.candidateSource(); src != nil {
+			if rCut, cok := pb.acquireCutoff(s.maxRefundPrice(u, owned)); cok {
+				s.scan.CandidateScans++
+				s.candBuf = src.AppendWithin(u, rCut, s.candBuf[:0])
+				s.scan.CandidatesScanned += len(s.candBuf)
+				return s.scanMoves(u, cur, pb, s.candBuf)
+			}
+			s.scan.Fallbacks++
+		}
+	}
+	if prune {
+		s.scan.ExhaustiveScans++
+	}
+	s.candBuf = s.candBuf[:0]
+	for v := range s.G.N() {
+		s.candBuf = append(s.candBuf, v)
+	}
+	return s.scanMoves(u, cur, pb, s.candBuf)
+}
+
+// scanMoves evaluates agent u's candidates in CandidateMoves order,
+// restricted to targets (ascending): the buys towards targets, then, per
+// owned edge, its delete followed by its swaps towards targets,
+// skipping acquisitions pb proves unable to beat the running best (pb
+// nil skips nothing). It returns the first move attaining the minimum
+// cost, or (Move{}, cur, false) when no move strictly improves on the
+// current cost cur.
+func (s *State) scanMoves(u int, cur float64, pb *moveBounds, targets []int) (best Move, cost float64, ok bool) {
 	cost = cur
-	n := s.G.N()
 	owned := s.P.S[u]
 	r := s.G.Rules()
 	consider := func(m Move) {
@@ -192,29 +226,6 @@ func (s *State) bestSingleMove(u int, prune bool) (best Move, cost float64, ok b
 			cost = c
 			best = m
 		}
-	}
-	finish := func() (Move, float64, bool) {
-		ok = s.G.Improves(cost, cur)
-		if !ok {
-			// The running best may hold a sub-tolerance improver that a
-			// tier with fewer enumerated candidates never saw; reset it so
-			// the "meaningless" move is one fixed value and every scan
-			// tier — and the exact oracle — returns an identical triple.
-			cost = cur
-			best = Move{}
-		}
-		return best, cost, ok
-	}
-	if prune && s.excessRulesOutAcquisitions(u, cur, owned) {
-		s.scan.ExcessSkips++
-		owned.ForEach(func(v int) {
-			consider(Move{Agent: u, Kind: Delete, V: v})
-		})
-		return finish()
-	}
-	var pb *moveBounds
-	if prune {
-		pb = s.newMoveBounds(u, cur)
 	}
 	// Adaptive bail: bound checks only pay for themselves when they
 	// actually prune (near-stable states, large α). If the first probe
@@ -235,48 +246,8 @@ func (s *State) bestSingleMove(u int, prune bool) (best Move, cost float64, ok b
 		}
 		return false
 	}
-	if pb != nil {
-		if src := s.G.Host.candidateSource(); src != nil {
-			if rCut, cok := pb.acquireCutoff(s.maxRefundPrice(u, owned)); cok {
-				s.scan.CandidateScans++
-				s.candBuf = src.AppendWithin(u, rCut, s.candBuf[:0])
-				cands := s.candBuf
-				s.scan.CandidatesScanned += len(cands)
-				for _, v := range cands {
-					if v == u || owned.Has(v) {
-						continue
-					}
-					if skip(v, 0) {
-						continue
-					}
-					consider(Move{Agent: u, Kind: Buy, V: v})
-				}
-				owned.ForEach(func(v int) {
-					consider(Move{Agent: u, Kind: Delete, V: v})
-					refund := pb.rules.AcquirePrice(pb.alpha, s.hostWeight(u, v))
-					for _, x := range cands {
-						if x == u || x == v || owned.Has(x) {
-							continue
-						}
-						if skip(x, refund) {
-							continue
-						}
-						consider(Move{Agent: u, Kind: Swap, V: v, X: x})
-					}
-				})
-				return finish()
-			}
-			s.scan.Fallbacks++
-		}
-	}
-	if prune {
-		s.scan.ExhaustiveScans++
-	}
-	for v := 0; v < n; v++ {
-		if v == u || owned.Has(v) {
-			continue
-		}
-		if skip(v, 0) {
+	for _, v := range targets {
+		if v == u || owned.Has(v) || skip(v, 0) {
 			continue
 		}
 		consider(Move{Agent: u, Kind: Buy, V: v})
@@ -287,17 +258,21 @@ func (s *State) bestSingleMove(u int, prune bool) (best Move, cost float64, ok b
 		if pb != nil {
 			refund = pb.rules.AcquirePrice(pb.alpha, s.hostWeight(u, v))
 		}
-		for x := 0; x < n; x++ {
-			if x == u || x == v || owned.Has(x) {
-				continue
-			}
-			if skip(x, refund) {
+		for _, x := range targets {
+			if x == u || x == v || owned.Has(x) || skip(x, refund) {
 				continue
 			}
 			consider(Move{Agent: u, Kind: Swap, V: v, X: x})
 		}
 	})
-	return finish()
+	if ok = s.G.Improves(cost, cur); !ok {
+		// The running best may hold a sub-tolerance improver that a tier
+		// with fewer targets never saw; reset it so the "meaningless"
+		// move is one fixed value and every scan tier — and the exact
+		// oracle — returns an identical triple.
+		cost, best = cur, Move{}
+	}
+	return best, cost, ok
 }
 
 // moveBounds holds the per-agent quantities behind the pruned move scan.

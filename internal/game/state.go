@@ -39,7 +39,7 @@ func NewState(g *Game, p Profile) *State {
 	if p.N() != g.N() {
 		panic("game: profile size does not match host")
 	}
-	s := &State{G: g, P: p, cache: newDistCache(g.N(), false)}
+	s := &State{G: g, P: p, cache: newDistCache(g.N())}
 	s.rebuild()
 	return s
 }
@@ -64,13 +64,10 @@ func (s *State) hostWeight(u, v int) float64 { return s.G.Host.Weight(u, v) }
 // Network returns the created network G(s). Callers must not mutate it.
 func (s *State) Network() *graph.Graph { return s.net }
 
-// Clone returns an independent copy of the state (with a fresh, empty
-// distance cache inheriting the original's on/off toggle).
+// Clone returns an independent copy of the state with a fresh, empty
+// distance cache.
 func (s *State) Clone() *State {
-	return &State{
-		G: s.G, P: s.P.Clone(), net: s.net.Clone(),
-		cache: newDistCache(s.G.N(), s.cache.off),
-	}
+	return &State{G: s.G, P: s.P.Clone(), net: s.net.Clone(), cache: newDistCache(s.G.N())}
 }
 
 // repairFlipLimit is the edge-change count up to which SetStrategy logs
@@ -154,8 +151,8 @@ func (s *State) DistCost(u int) float64 {
 	}
 	row := s.Dist(u)
 	// Dist may have replayed or recomputed the row, publishing a current
-	// aggregate as a side effect; a second miss means caching is off (or
-	// the row was immediately evicted) — fold the row we hold.
+	// aggregate as a side effect; a second miss means the row was evicted
+	// by a concurrent reader — fold the row we hold.
 	if total, ok := s.cache.aggTotal(s, u, false); ok {
 		return total
 	}

@@ -114,21 +114,7 @@ func (s *State) AcquireGainCertificate(u int) (cert GainCertificate, ok bool) {
 			cert.AcquireBound = net
 		}
 	}
-	// AcquirePrice is monotone in w (interface contract), so the largest
-	// refund is the price of the heaviest owned edge; an agent that owns
-	// nothing can make no swap and refunds nothing.
-	maxW, ownsAny := 0.0, false
-	owned.ForEach(func(v int) {
-		ownsAny = true
-		if w := s.hostWeight(u, v); w > maxW {
-			maxW = w
-		}
-	})
-	if ownsAny {
-		cert.MaxRefund = pb.rules.AcquirePrice(pb.alpha, maxW)
-	} else {
-		cert.MaxRefund = 0
-	}
+	cert.MaxRefund = s.maxRefundPrice(u, owned)
 	return cert, true
 }
 
@@ -144,10 +130,6 @@ type VerifyOptions struct {
 	// (false) uses the pruned scan — outcome-identical by the pruning
 	// contract, and faster.
 	Exact bool
-	// NoCertificates disables gain-bound skipping: every agent runs a
-	// full scan. The verdict is unchanged (certificates are
-	// conservative); only CertSkipped/Scanned and wall time differ.
-	NoCertificates bool
 }
 
 // VerifyResult reports a concurrent verification.
@@ -231,25 +213,12 @@ func VerifyGreedyEquilibrium(s *State, opt VerifyOptions) VerifyResult {
 // is a pure function of the state and options.
 func verifyAgent(work *State, u int, opt VerifyOptions) (v agentVerdict) {
 	cur := work.Cost(u)
-	if !opt.NoCertificates && !math.IsInf(cur, 1) {
+	if !math.IsInf(cur, 1) {
 		if cert, ok := work.AcquireGainCertificate(u); ok && cert.RulesOutAcquisitions(work.G.Eps) {
 			// Buys and swaps are ruled out; only the agent's own
-			// deletions remain, and there are at most |S_u| of them.
-			// Feasibility-gate them exactly as the full scan would.
-			r := work.G.Rules()
-			work.P.S[u].Clone().ForEach(func(x int) {
-				if v.improving {
-					return
-				}
-				m := Move{Agent: u, Kind: Delete, V: x}
-				if !r.MoveFeasible(work, m) {
-					return
-				}
-				after := work.CostAfter(m)
-				if work.G.Improves(after, cur) {
-					v.improving = true
-				}
-			})
+			// deletions remain, at most |S_u| of them: the shared scan
+			// loop with no acquisition targets.
+			_, _, v.improving = work.scanMoves(u, cur, nil, nil)
 			v.skipped = true
 			return v
 		}

@@ -43,10 +43,10 @@ func settle(s *State, maxRounds int) {
 // TestVerifyParallelMatchesSerialOracle pins the sharding contract: for
 // every host flavor, for random and settled states alike, the parallel
 // verifier's verdict (Stable, FirstImproving) is bit-identical to the
-// serial exhaustive oracle under worker counts {1, 4, GOMAXPROCS},
-// with certificates on and off and both scan oracles — and the
-// certificate skip count is identical for every worker count. Run under
-// -race in CI, this also exercises the per-worker clone isolation.
+// serial exhaustive oracle under worker counts {1, 4, GOMAXPROCS} and
+// both scan oracles — and the certificate skip count is identical for
+// every worker count. Run under -race in CI, this also exercises the
+// per-worker clone isolation.
 func TestVerifyParallelMatchesSerialOracle(t *testing.T) {
 	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
 	for _, flavor := range repairFlavors {
@@ -62,31 +62,21 @@ func TestVerifyParallelMatchesSerialOracle(t *testing.T) {
 			var wantSkipped = -1
 			for _, workers := range workerCounts {
 				for _, exact := range []bool{false, true} {
-					for _, noCerts := range []bool{false, true} {
-						res := VerifyGreedyEquilibrium(s, VerifyOptions{
-							Workers: workers, Exact: exact, NoCertificates: noCerts,
-						})
-						if res.Stable != wantStable || res.FirstImproving != wantFirst {
-							t.Fatalf("%s seed %d workers=%d exact=%v nocerts=%v: got (stable=%v first=%d), oracle (stable=%v first=%d)",
-								flavor, seed, workers, exact, noCerts,
-								res.Stable, res.FirstImproving, wantStable, wantFirst)
-						}
-						if noCerts {
-							if res.CertSkipped != 0 {
-								t.Fatalf("%s seed %d: CertSkipped=%d with certificates disabled", flavor, seed, res.CertSkipped)
-							}
-							continue
-						}
-						if wantSkipped == -1 {
-							wantSkipped = res.CertSkipped
-						} else if res.CertSkipped != wantSkipped {
-							t.Fatalf("%s seed %d workers=%d exact=%v: CertSkipped=%d, want %d (must be worker-invariant)",
-								flavor, seed, workers, exact, res.CertSkipped, wantSkipped)
-						}
-						if res.CertSkipped+res.Scanned != n {
-							t.Fatalf("%s seed %d: CertSkipped=%d + Scanned=%d != n=%d",
-								flavor, seed, res.CertSkipped, res.Scanned, n)
-						}
+					res := VerifyGreedyEquilibrium(s, VerifyOptions{Workers: workers, Exact: exact})
+					if res.Stable != wantStable || res.FirstImproving != wantFirst {
+						t.Fatalf("%s seed %d workers=%d exact=%v: got (stable=%v first=%d), oracle (stable=%v first=%d)",
+							flavor, seed, workers, exact,
+							res.Stable, res.FirstImproving, wantStable, wantFirst)
+					}
+					if wantSkipped == -1 {
+						wantSkipped = res.CertSkipped
+					} else if res.CertSkipped != wantSkipped {
+						t.Fatalf("%s seed %d workers=%d exact=%v: CertSkipped=%d, want %d (must be worker-invariant)",
+							flavor, seed, workers, exact, res.CertSkipped, wantSkipped)
+					}
+					if res.CertSkipped+res.Scanned != n {
+						t.Fatalf("%s seed %d: CertSkipped=%d + Scanned=%d != n=%d",
+							flavor, seed, res.CertSkipped, res.Scanned, n)
 					}
 				}
 			}

@@ -25,7 +25,34 @@ func For(n int, fn func(i int)) {
 	ForWorkers(n, Workers(), fn)
 }
 
-// ForWorkers is For with an explicit worker bound.
+// group is a WaitGroup that carries the first panic recovered on a
+// worker goroutine back to the calling goroutine, where the caller's own
+// recover (or a sweep's per-cell guard) can see it; a panic left on a
+// worker goroutine would kill the whole process.
+type group struct {
+	sync.WaitGroup
+	once sync.Once
+	val  any // non-nil once caught: recover never returns nil for a panic
+}
+
+// done is deferred by each worker goroutine in place of Done.
+func (g *group) done() {
+	if r := recover(); r != nil {
+		g.once.Do(func() { g.val = r })
+	}
+	g.Done()
+}
+
+// wait waits for every worker, then re-raises the caught panic, if any.
+func (g *group) wait() {
+	g.Wait()
+	if g.val != nil {
+		panic(g.val)
+	}
+}
+
+// ForWorkers is For with an explicit worker bound. A panic in fn is
+// re-raised on the calling goroutine after every worker has stopped.
 func ForWorkers(n, workers int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -40,11 +67,11 @@ func ForWorkers(n, workers int, fn func(i int)) {
 		return
 	}
 	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
+	var g group
+	g.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
-			defer wg.Done()
+			defer g.done()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
@@ -54,7 +81,7 @@ func ForWorkers(n, workers int, fn func(i int)) {
 			}
 		}()
 	}
-	wg.Wait()
+	g.wait()
 }
 
 // Blocks partitions [0,n) into `workers` contiguous ranges and runs
@@ -64,7 +91,8 @@ func ForWorkers(n, workers int, fn func(i int)) {
 // scheduling. Callers that keep per-worker scratch (a cloned state, a
 // private cache) use this shape: each index belongs to exactly one worker
 // and neighboring indices share that worker's warm scratch. workers <= 1
-// runs fn(0, 0, n) on the calling goroutine.
+// runs fn(0, 0, n) on the calling goroutine. A panic in fn is re-raised
+// on the calling goroutine after every worker has returned.
 func Blocks(n, workers int, fn func(worker, lo, hi int)) {
 	if n <= 0 {
 		return
@@ -76,15 +104,15 @@ func Blocks(n, workers int, fn func(worker, lo, hi int)) {
 		fn(0, 0, n)
 		return
 	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
+	var g group
+	g.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
-			defer wg.Done()
+			defer g.done()
 			fn(w, w*n/workers, (w+1)*n/workers)
 		}(w)
 	}
-	wg.Wait()
+	g.wait()
 }
 
 // Map computes out[i] = fn(i) for i in [0,n) in parallel.

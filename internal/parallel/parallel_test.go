@@ -94,3 +94,37 @@ func TestReduceFloatDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// recoverFrom runs f and returns the value it panicked with, or nil.
+func recoverFrom(f func()) (r any) {
+	defer func() { r = recover() }()
+	f()
+	return nil
+}
+
+// TestWorkerPanicReachesCaller: a panic inside a worker goroutine must be
+// re-raised on the calling goroutine, where a recover can catch it,
+// instead of killing the process.
+func TestWorkerPanicReachesCaller(t *testing.T) {
+	if r := recoverFrom(func() {
+		ForWorkers(100, 4, func(i int) {
+			if i == 37 {
+				panic("for worker 37")
+			}
+		})
+	}); r != "for worker 37" {
+		t.Fatalf("ForWorkers panic = %v, want the worker's value", r)
+	}
+	if r := recoverFrom(func() {
+		Blocks(10, 3, func(w, _, _ int) {
+			if w == 2 {
+				panic("block worker 2")
+			}
+		})
+	}); r != "block worker 2" {
+		t.Fatalf("Blocks panic = %v, want the worker's value", r)
+	}
+	if r := recoverFrom(func() { ForWorkers(10, 2, func(int) {}) }); r != nil {
+		t.Fatalf("ForWorkers without a panic raised %v", r)
+	}
+}

@@ -126,9 +126,8 @@ func settle(s *game.State, maxRounds int) {
 // TestVerifierWorkerInvariance extends the verifier's sharding contract
 // to the rules registry: under every model, the parallel verifier's
 // verdict (Stable, FirstImproving) is bit-identical to the serial exact
-// oracle for worker counts {1, 4, GOMAXPROCS}, with certificates on and
-// off and both scan oracles, and CertSkipped is identical across worker
-// counts. Run under -race in CI this also checks per-worker clone
+// oracle for worker counts {1, 4, GOMAXPROCS} and both scan oracles,
+// and CertSkipped is identical across worker counts. Run under -race in CI this also checks per-worker clone
 // isolation on the non-default models' code paths.
 func TestVerifierWorkerInvariance(t *testing.T) {
 	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
@@ -146,24 +145,17 @@ func TestVerifierWorkerInvariance(t *testing.T) {
 			wantSkipped := -1
 			for _, workers := range workerCounts {
 				for _, exact := range []bool{false, true} {
-					for _, noCerts := range []bool{false, true} {
-						res := game.VerifyGreedyEquilibrium(s, game.VerifyOptions{
-							Workers: workers, Exact: exact, NoCertificates: noCerts,
-						})
-						if res.Stable != wantStable || res.FirstImproving != wantFirst {
-							t.Fatalf("%s seed %d workers=%d exact=%v nocerts=%v: got (stable=%v first=%d), oracle (stable=%v first=%d)",
-								model, seed, workers, exact, noCerts,
-								res.Stable, res.FirstImproving, wantStable, wantFirst)
-						}
-						if noCerts {
-							continue
-						}
-						if wantSkipped == -1 {
-							wantSkipped = res.CertSkipped
-						} else if res.CertSkipped != wantSkipped {
-							t.Fatalf("%s seed %d workers=%d exact=%v: CertSkipped=%d, want %d (must be worker-invariant)",
-								model, seed, workers, exact, res.CertSkipped, wantSkipped)
-						}
+					res := game.VerifyGreedyEquilibrium(s, game.VerifyOptions{Workers: workers, Exact: exact})
+					if res.Stable != wantStable || res.FirstImproving != wantFirst {
+						t.Fatalf("%s seed %d workers=%d exact=%v: got (stable=%v first=%d), oracle (stable=%v first=%d)",
+							model, seed, workers, exact,
+							res.Stable, res.FirstImproving, wantStable, wantFirst)
+					}
+					if wantSkipped == -1 {
+						wantSkipped = res.CertSkipped
+					} else if res.CertSkipped != wantSkipped {
+						t.Fatalf("%s seed %d workers=%d exact=%v: CertSkipped=%d, want %d (must be worker-invariant)",
+							model, seed, workers, exact, res.CertSkipped, wantSkipped)
 					}
 				}
 			}
