@@ -41,8 +41,9 @@ type ConvergenceResult = dynamics.ConvergenceResult
 
 // RunToConvergence drives a mover/scheduler combination until a full
 // round passes with no improving move or the budget runs out. Unlike
-// RunDynamics it keeps no history and detects no cycles — O(1) per-move
-// overhead, the engine behind the equilibrium ladder at n = 10⁴. Use
+// RunDynamics it keeps no history and detects no cycles — per move only
+// the mover's scan and one strategy update per worker core, the engine
+// behind the equilibrium ladder at n = 10⁴. Use
 // GreedyMover with RoundRobinScheduler for the paper's greedy dynamics,
 // and AddOnlyMover with a zero budget for add-only dynamics, which
 // always converge (every move buys a new edge).
@@ -101,7 +102,10 @@ func VerifyFIPWitness(g *Game, w *FIPWitness) bool {
 
 // Movers and schedulers for custom dynamics loops.
 type (
-	// Mover computes an agent's next strategy.
+	// Mover computes an agent's next strategy. It must be a pure
+	// function of (state, agent) and safe to call concurrently on
+	// distinct states: RunToConvergence and RunDynamics scan rounds
+	// speculatively on several worker states at once.
 	Mover = dynamics.Mover
 	// Scheduler orders agent activations per round.
 	Scheduler = dynamics.Scheduler

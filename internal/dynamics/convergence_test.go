@@ -98,66 +98,40 @@ func TestRunAlreadyAtEquilibriumStart(t *testing.T) {
 }
 
 // staleMover reproduces the stale best-response pattern a batching
-// scheduler yields: at each round's first activation it computes every
-// agent's response against the round-start state, then serves those
-// cached responses as the round's later agents activate — after
-// concurrent agents have already moved, so the served response may be
-// stale. A stale response that still strictly improves against the
-// current state is applied as is (a legal, merely suboptimal move); one
-// that no longer improves is discarded and the agent recomputes fresh,
-// so a full round without moves still certifies a genuine equilibrium.
+// scheduler yields: every agent's response is computed once, against
+// the start state, and served whenever the agent activates — after
+// other agents have moved, so the served response may be stale. A stale
+// response that still strictly improves against the current state is
+// applied as is (a legal, merely suboptimal move); one that no longer
+// improves is discarded and the agent recomputes fresh, so a full round
+// without moves still certifies a genuine equilibrium. The batch is
+// built before the run and only read during it, so the mover is a pure
+// function of (s, u), as the Mover contract requires.
 type staleMover struct {
-	inner   Mover
-	n       int
-	seen    int
-	moved   bool // an agent moved since the batch was computed
-	pending map[int]bitset.Set
-	stale   int // genuinely stale responses applied
-	reeval  int // stale responses discarded and recomputed
+	inner Mover
+	batch map[int]bitset.Set
 }
 
-func (m *staleMover) move(s *game.State, u int) (bitset.Set, bool) {
-	if m.seen == 0 { // round start: batch-compute against the current state
-		m.pending = map[int]bitset.Set{}
-		m.moved = false
-		for v := 0; v < m.n; v++ {
-			if strat, ok := m.inner(s, v); ok {
-				m.pending[v] = strat.Clone()
-			}
+func newStaleMover(inner Mover, s *game.State) staleMover {
+	m := staleMover{inner: inner, batch: map[int]bitset.Set{}}
+	for v := 0; v < s.G.N(); v++ {
+		if strat, ok := inner(s, v); ok {
+			m.batch[v] = strat
 		}
 	}
-	m.seen = (m.seen + 1) % m.n
-	cached, ok := m.pending[u]
-	if !ok {
-		// No improving move at round start; the state may have changed
-		// since — recompute so convergence detection stays exact.
-		strat, ok := m.inner(s, u)
-		if ok {
-			m.moved = true
-		}
-		return strat, ok
-	}
-	delete(m.pending, u)
-	if !cached.Equal(s.P.S[u]) {
-		cur := s.Cost(u)
-		old := s.P.S[u].Clone()
-		s.SetStrategy(u, cached)
-		after := s.Cost(u)
-		s.SetStrategy(u, old)
-		if s.G.Improves(after, cur) {
-			if m.moved {
-				m.stale++ // applied after a concurrent agent's move
-			}
-			m.moved = true
+	return m
+}
+
+func (m staleMover) move(s *game.State, u int) (bitset.Set, bool) {
+	if cached, ok := m.batch[u]; ok && !cached.Equal(s.P.S[u]) {
+		c := s.Clone()
+		cur := c.Cost(u)
+		c.SetStrategy(u, cached)
+		if s.G.Improves(c.Cost(u), cur) {
 			return cached, true
 		}
 	}
-	m.reeval++
-	strat, ok := m.inner(s, u)
-	if ok {
-		m.moved = true
-	}
-	return strat, ok
+	return m.inner(s, u)
 }
 
 // TestRunStaleBestResponseAfterConcurrentMove is the deterministic
@@ -173,9 +147,15 @@ func TestRunStaleBestResponseAfterConcurrentMove(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		g := pointGame(100+seed, 8, 1.2)
 		s := game.NewState(g, game.StarProfile(8, int(seed)%8))
-		sm := &staleMover{inner: GreedyMover, n: 8}
+		sm := newStaleMover(GreedyMover, s)
 		res := Run(s, sm.move, RoundRobin{}, 5000)
-		staleApplied += sm.stale
+		for i, tr := range res.History {
+			// A batched response applied after an earlier move was
+			// computed against a state that no longer holds.
+			if cached, ok := sm.batch[tr.Agent]; ok && i > 0 && cached.Equal(bitset.FromSlice(8, tr.Strategy)) {
+				staleApplied++
+			}
+		}
 		if res.Outcome == Exhausted {
 			t.Fatalf("seed %d: stale dynamics exhausted the budget", seed)
 		}

@@ -9,8 +9,9 @@
 // single-edge responses (polynomial, the GE notion), and add-only
 // responses (polynomial; these always converge because strategies only
 // grow, yielding the AE networks of Thm 2). One activation loop,
-// RunToConvergence, plays them all; Run records the moves on top of it
-// to detect recurrences. ProfileSpace enumerates every strategy profile
+// RunToConvergence, plays them all, each round speculatively across
+// every core with results bit-identical to a serial loop; Run records
+// the moves on top of it to detect recurrences. ProfileSpace enumerates every strategy profile
 // of a tiny game for the exhaustive checks (ExhaustiveFIP here, the
 // equilibrium census in package poa).
 //
@@ -35,6 +36,15 @@ import (
 
 // Mover computes agent u's next strategy in state s. It returns the new
 // strategy and whether it strictly improves on u's current cost.
+//
+// A mover must be a pure function of (s, u) — no state of its own that
+// one call leaves for the next — and safe to call concurrently on
+// distinct states. It may evaluate speculative changes on s but must
+// leave s as it found it. The activation loop relies on this: it offers
+// positions of a round to several worker states at once and discards
+// the answers after the first improving one (see activate), so a mover
+// is called more often than moves are offered serially, on whichever
+// worker owns the agent. The four movers below qualify.
 type Mover func(s *game.State, u int) (bitset.Set, bool)
 
 // BestResponseMover plays exact best responses.

@@ -108,21 +108,21 @@ func TestMoversReportNoImprovementAtEquilibrium(t *testing.T) {
 
 func TestRunDetectsPlantedCycle(t *testing.T) {
 	// Force a cycle with a synthetic mover that alternates agent 0
-	// between two strategies regardless of cost.
+	// between two strategies regardless of cost. The alternation is read
+	// off agent 0's current strategy, so the mover is a pure function of
+	// (state, agent), as the Mover contract requires.
 	g := game.New(game.NewHost(metric.Unit{N: 3}), 0.1)
 	p := game.EmptyProfile(3)
 	p.Buy(1, 0)
 	p.Buy(1, 2)
 	s := game.NewState(g, p)
-	flip := false
 	mover := func(st *game.State, u int) (bitset.Set, bool) {
 		if u != 0 {
 			return bitset.Set{}, false
 		}
-		flip = !flip
 		b := st.P.S[0].Clone()
 		b.Clear()
-		if flip {
+		if !st.P.S[0].Has(2) {
 			b.Add(2)
 		}
 		return b, true

@@ -42,6 +42,12 @@ import (
 // state itself remains single-threaded, as documented on State. Because
 // repair rewrites rows in place, a slice returned by Dist is only valid
 // until the state's next mutation.
+//
+// A fork worker's cache (see fork.go) starts out borrowing every row of
+// its parent's cache: the slices are shared, never written, and do not
+// count against the worker's cap. The first repair of a borrowed row
+// copies it into a private buffer (ownRowLocked), so the parent's rows
+// stay bit-for-bit what they were when the fork was made.
 type distCache struct {
 	mu sync.Mutex
 
@@ -54,12 +60,13 @@ type distCache struct {
 	base uint64
 	log  []edgeDelta
 
-	rows   [][]float64
-	rowPos []uint64
-	agg    []rowAgg
-	cached int // non-nil rows
-	cap    int // max cached rows
-	clock  int // eviction sweep pointer
+	rows     [][]float64
+	rowPos   []uint64
+	agg      []rowAgg
+	borrowed []bool // rows shared read-only with a fork's parent; nil outside forks
+	cached   int    // non-nil private rows
+	cap      int    // max cached private rows
+	clock    int    // eviction sweep pointer
 
 	// Speculation bookkeeping: while the snapshot is outstanding, every
 	// row whose position is (re)assigned is recorded so restore can fix
@@ -87,9 +94,13 @@ type distCache struct {
 // with data rather than intuition. Counters are exact under
 // single-threaded use. Under concurrent read-side use, racing readers of
 // the same cold row each count a miss (each really ran a Dijkstra), so
-// which reads hit depends on timing: sweeps feeding the byte-identical
-// results contract must record counters only from single-threaded
-// phases (or from a fresh Clone probed sequentially).
+// which reads hit depends on timing. Fork.Join adds its workers'
+// counters, so after dynamics.RunToConvergence or
+// VerifyGreedyEquilibrium they also count the speculative scans the
+// activation round discarded, and how many of those ran depends on
+// timing too. Sweeps feeding the byte-identical results contract must
+// therefore record counters only from a fresh Clone probed
+// sequentially.
 type CacheStats struct {
 	// Hits counts warm answers: O(1) aggregate reads and current- or
 	// repaired-row reads that avoided a fresh Dijkstra.
@@ -108,6 +119,15 @@ type CacheStats struct {
 	// Capacity is the row-cache cap the state was created with (not a
 	// counter; filled by State.CacheStats for context).
 	Capacity int
+}
+
+// add folds d's counters into st (Capacity is not a counter).
+func (st *CacheStats) add(d CacheStats) {
+	st.Hits += d.Hits
+	st.Misses += d.Misses
+	st.BatchRepairs += d.BatchRepairs
+	st.RepairRefusals += d.RepairRefusals
+	st.Evictions += d.Evictions
 }
 
 // CacheStats returns a snapshot of the distance cache's event counters.
@@ -250,6 +270,7 @@ func (c *distCache) pendingDiff(pos uint64) (removed, added []graph.Edge) {
 func (c *distCache) replayRowLocked(s *State, i int) bool {
 	removed, added := c.pendingDiff(c.rowPos[i])
 	if len(removed)+len(added) > 0 {
+		c.ownRowLocked(i)
 		c.journalRowLocked(i)
 		row := c.rows[i]
 		mark := c.beginAggMark()
@@ -306,11 +327,35 @@ func (c *distCache) setRowPosLocked(i int, pos uint64) {
 	}
 }
 
+func (c *distCache) isBorrowed(i int) bool { return c.borrowed != nil && c.borrowed[i] }
+
+// ownRowLocked makes row i private before its first in-place repair: a
+// borrowed row and its aggregate blocks are copied, and the copy counts
+// against the cap from then on. Private rows are left as they are.
+func (c *distCache) ownRowLocked(i int) {
+	if !c.isBorrowed(i) {
+		return
+	}
+	if c.cached >= c.cap {
+		c.evictOneLocked(i)
+	}
+	row := c.getRowBufLocked(len(c.rows[i]))
+	copy(row, c.rows[i])
+	c.rows[i] = row
+	c.agg[i].blocks = append([]float64(nil), c.agg[i].blocks...)
+	c.borrowed[i] = false
+	c.cached++
+}
+
 func (c *distCache) dropRowLocked(i int) {
 	if c.rows[i] != nil {
+		if c.isBorrowed(i) {
+			c.borrowed[i] = false
+		} else {
+			c.cached--
+		}
 		c.rows[i] = nil
 		c.agg[i] = rowAgg{}
-		c.cached--
 	}
 }
 
@@ -328,9 +373,10 @@ func (c *distCache) insertRowLocked(s *State, i int, row []float64, pos uint64) 
 	c.setRowPosLocked(i, pos)
 }
 
-// evictOneLocked drops one cached row (never keep), preferring stale rows
-// — their loss costs at most a recompute that was plausibly due anyway —
-// via a clock sweep that makes eviction O(1) amortized.
+// evictOneLocked drops one cached private row (never keep; dropping a
+// borrowed row frees nothing), preferring stale rows — their loss costs
+// at most a recompute that was plausibly due anyway — via a clock sweep
+// that makes eviction O(1) amortized.
 func (c *distCache) evictOneLocked(keep int) {
 	n := len(c.rows)
 	for pass := 0; pass < 2; pass++ {
@@ -340,7 +386,7 @@ func (c *distCache) evictOneLocked(keep int) {
 			if c.clock == n {
 				c.clock = 0
 			}
-			if i == keep || c.rows[i] == nil {
+			if i == keep || c.rows[i] == nil || c.isBorrowed(i) {
 				continue
 			}
 			if pass == 0 && c.rowPos[i] == c.head {

@@ -46,7 +46,9 @@ import (
 // ScanStats counts how BestSingleMove scans were served on this state —
 // the telemetry behind the equilibrium ladder's candidates_scanned /
 // fallbacks columns. Counters follow the State's concurrency contract
-// (no concurrent mutation); clones start at zero.
+// (no concurrent mutation); clones and fork workers start at zero, and
+// a fork adds to its parent only the scans its caller keeps
+// (Fork.FoldScanStats).
 type ScanStats struct {
 	// CandidateScans counts scans served from a geometric candidate
 	// source through a certified cutoff radius.
@@ -69,6 +71,26 @@ type ScanStats struct {
 
 // ScanStats returns the state's scan telemetry counters.
 func (s *State) ScanStats() ScanStats { return s.scan }
+
+// Sub returns the counters a gained since b was read from the same
+// state: one scan's telemetry, taken around the scan.
+func (a ScanStats) Sub(b ScanStats) ScanStats {
+	return ScanStats{
+		CandidateScans:    a.CandidateScans - b.CandidateScans,
+		CandidatesScanned: a.CandidatesScanned - b.CandidatesScanned,
+		ExcessSkips:       a.ExcessSkips - b.ExcessSkips,
+		ExhaustiveScans:   a.ExhaustiveScans - b.ExhaustiveScans,
+		Fallbacks:         a.Fallbacks - b.Fallbacks,
+	}
+}
+
+func (a *ScanStats) add(d ScanStats) {
+	a.CandidateScans += d.CandidateScans
+	a.CandidatesScanned += d.CandidatesScanned
+	a.ExcessSkips += d.ExcessSkips
+	a.ExhaustiveScans += d.ExhaustiveScans
+	a.Fallbacks += d.Fallbacks
+}
 
 // candidateSource returns the host space's geometric-neighborhood
 // capability, or nil.

@@ -218,6 +218,45 @@ func TestBestSingleMoveImprovesOrReportsNone(t *testing.T) {
 	}
 }
 
+// TestScanBuffersReuseMatchesFresh: a state reuses its pruning-bound
+// buffers from one scan to the next. Agents here have positive demand
+// towards different numbers of nodes, so each scan's sorted arrays are
+// shorter or longer than the last one's; every scan and certificate must
+// still equal, bit for bit, the one a fresh state computes.
+func TestScanBuffersReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 40; trial++ {
+		n := 6 + rng.Intn(8)
+		g := randomMetricGame(rng, n, 0.5+4*rng.Float64())
+		tr := make([][]float64, n)
+		for u := range tr {
+			tr[u] = make([]float64, n)
+			for v := range tr[u] {
+				if v != u && (u%3 == 0 || rng.Float64() < 0.25) {
+					tr[u][v] = 0.5 + rng.Float64()
+				}
+			}
+		}
+		if err := g.SetTraffic(tr); err != nil {
+			t.Fatal(err)
+		}
+		s := NewState(g, randomProfile(rng, n, 0.4))
+		for _, u := range rng.Perm(n) {
+			m, c, ok := s.BestSingleMove(u)
+			fm, fc, fok := s.Clone().BestSingleMove(u)
+			if m != fm || math.Float64bits(c) != math.Float64bits(fc) || ok != fok {
+				t.Fatalf("trial %d agent %d: reused scan (%v, %v, %v), fresh (%v, %v, %v)", trial, u, m, c, ok, fm, fc, fok)
+			}
+			cert, ok := s.AcquireGainCertificate(u)
+			fcert, fok := s.Clone().AcquireGainCertificate(u)
+			if ok != fok || math.Float64bits(cert.AcquireBound) != math.Float64bits(fcert.AcquireBound) ||
+				cert.MaxRefund != fcert.MaxRefund || cert.Slack != fcert.Slack {
+				t.Fatalf("trial %d agent %d: reused certificate %+v, fresh %+v", trial, u, cert, fcert)
+			}
+		}
+	}
+}
+
 func TestStarIsGreedyEquilibriumUnitAlpha2(t *testing.T) {
 	// Classic NCG fact: for alpha in (1,2) the star bought by the center
 	// is an equilibrium; for the GE notion this must hold at alpha = 2.

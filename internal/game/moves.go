@@ -307,12 +307,15 @@ type moveBounds struct {
 	duv   []float64 // private copy of u's distance row (repair-safe)
 	pairs []distDemand
 	ds    []float64 // positive-traffic distances, ascending (lazy: ensureSorted)
-	std   []float64 // std[i] = Σ_{j≥i} t_j·ds[j]
-	st    []float64 // st[i] = Σ_{j≥i} t_j
-	tpos  float64   // Σ_x t(u,x)
-	sumTD float64   // Σ_x t(u,x)·d(u,x) = gainUB(0), the coarse gain ceiling
-	minD  float64   // smallest positive-traffic distance
-	maxD  float64   // largest positive-traffic distance
+	// sorted reports whether ds, std and st hold this scan's arrays; the
+	// slices themselves are kept across scans as reusable buffers.
+	sorted bool
+	std    []float64 // std[i] = Σ_{j≥i} t_j·ds[j]
+	st     []float64 // st[i] = Σ_{j≥i} t_j
+	tpos   float64   // Σ_x t(u,x)
+	sumTD  float64   // Σ_x t(u,x)·d(u,x) = gainUB(0), the coarse gain ceiling
+	minD   float64   // smallest positive-traffic distance
+	maxD   float64   // largest positive-traffic distance
 	// excessUB bounds the gain of ANY acquiring move on a structurally
 	// metric host: distances cannot drop below the host-metric floor, so
 	// gain ≤ Σ_x t·(d − w) = sumTD − trafficFloorSum. +Inf on non-metric
@@ -329,6 +332,8 @@ type moveBounds struct {
 
 type distDemand struct{ d, t float64 }
 
+// newMoveBounds fills the state's reused bounds for a scan of agent u.
+// The result stays valid until the next newMoveBounds call on s.
 func (s *State) newMoveBounds(u int, cur float64) *moveBounds {
 	if math.IsInf(cur, 1) {
 		return nil
@@ -338,14 +343,18 @@ func (s *State) newMoveBounds(u int, cur float64) *moveBounds {
 		return nil
 	}
 	row := s.Dist(u)
-	pb := &moveBounds{
-		duv:   append([]float64(nil), row...), // Dist rows are repaired in place mid-scan
+	pb := &s.bounds
+	*pb = moveBounds{
+		duv:   append(pb.duv[:0], row...), // Dist rows are repaired in place mid-scan
+		pairs: pb.pairs[:0],
+		ds:    pb.ds,
+		std:   pb.std,
+		st:    pb.st,
 		alpha: s.G.Alpha,
 		eps:   s.G.Eps,
 		slack: 1e-11 * (1 + math.Abs(cur)),
 		rules: r,
 	}
-	pb.pairs = make([]distDemand, 0, len(row))
 	pb.minD = math.Inf(1)
 	for x, d := range row {
 		if x == u {
@@ -381,19 +390,29 @@ func (s *State) newMoveBounds(u int, cur float64) *moveBounds {
 // verifier's certificate consults gainUB only where those lose — the
 // common large-n case never pays for a sort it does not consult.
 func (pb *moveBounds) ensureSorted() {
-	if pb.ds != nil || pb.pairs == nil {
+	if pb.sorted {
 		return
 	}
+	pb.sorted = true
 	pairs := pb.pairs
 	sort.Slice(pairs, func(i, j int) bool { return pairs[i].d < pairs[j].d })
-	pb.ds = make([]float64, len(pairs))
-	pb.std = make([]float64, len(pairs)+1)
-	pb.st = make([]float64, len(pairs)+1)
-	for i := len(pairs) - 1; i >= 0; i-- {
+	m := len(pairs)
+	pb.ds, pb.std, pb.st = resize(pb.ds, m), resize(pb.std, m+1), resize(pb.st, m+1)
+	pb.std[m], pb.st[m] = 0, 0
+	for i := m - 1; i >= 0; i-- {
 		pb.ds[i] = pairs[i].d
 		pb.std[i] = pb.std[i+1] + pairs[i].t*pairs[i].d
 		pb.st[i] = pb.st[i+1] + pairs[i].t
 	}
+}
+
+// resize returns b with length m, reusing its backing array when it is
+// large enough; the contents are left for the caller to overwrite.
+func resize(b []float64, m int) []float64 {
+	if cap(b) < m {
+		return make([]float64, m)
+	}
+	return b[:m]
 }
 
 // gainUB returns Σ_x t(u,x)·max(0, d(u,x) − w).

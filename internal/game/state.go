@@ -12,8 +12,9 @@ import (
 // G(s) kept materialized and shortest-path queries memoized (see
 // cache.go). All cost queries and move evaluations go through a State.
 // States are not safe for concurrent mutation; read-only cost queries on
-// distinct sources are safe. States must be created with NewState (or
-// Clone); the zero value is unusable.
+// distinct sources are safe, and parallel work that mutates goes through
+// the workers of a Fork. States must be created with NewState (or Clone
+// or Fork); the zero value is unusable.
 type State struct {
 	G     *Game
 	P     Profile
@@ -26,10 +27,13 @@ type State struct {
 	touched int
 
 	// scan accumulates best-response scan telemetry (see candidates.go);
-	// candBuf is the reused scratch buffer for candidate-source queries.
-	// Clones start with zero counters and a nil buffer.
+	// candBuf is the reused scratch buffer for candidate-source queries,
+	// and bounds the reused pruning bounds of the scan in progress
+	// (newMoveBounds), so a scan allocates nothing for either. Clones
+	// start with zero counters and empty buffers.
 	scan    ScanStats
 	candBuf []int
+	bounds  moveBounds
 }
 
 // NewState binds profile p to game g and materializes G(s). The profile is

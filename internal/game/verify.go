@@ -2,6 +2,7 @@ package game
 
 import (
 	"math"
+	"sync/atomic"
 
 	"gncg/internal/parallel"
 )
@@ -70,7 +71,8 @@ func (c GainCertificate) RulesOutAcquisitions(eps float64) bool {
 // GainBoundsSound is false; callers must then fall back to a real scan.
 // The bound ranges over every non-owned candidate — a superset of the
 // model-feasible ones — which can only loosen it, never unsoundly
-// tighten it.
+// tighten it. Like BestSingleMove it works in the state's reused scan
+// buffers, so one state must not compute two certificates concurrently.
 func (s *State) AcquireGainCertificate(u int) (cert GainCertificate, ok bool) {
 	cur := s.Cost(u)
 	pb := s.newMoveBounds(u, cur)
@@ -121,8 +123,9 @@ func (s *State) AcquireGainCertificate(u int) (cert GainCertificate, ok bool) {
 // VerifyOptions configures VerifyGreedyEquilibrium.
 type VerifyOptions struct {
 	// Workers is the verification worker count; <= 0 means
-	// parallel.Workers() (GOMAXPROCS). The result is identical for
-	// every worker count — only wall time changes.
+	// parallel.Workers() (GOMAXPROCS). State.Fork caps it at n and at
+	// the state's row cap. The result is identical for every worker
+	// count — only wall time changes.
 	Workers int
 	// Exact runs the unpruned exhaustive scan (BestSingleMoveExact) for
 	// agents the certificate cannot skip, making the verdict
@@ -159,18 +162,21 @@ type agentVerdict struct {
 
 // VerifyGreedyEquilibrium checks whether the state is a greedy
 // equilibrium — no agent has a strictly improving buy, delete or swap —
-// by sharding the per-agent checks across a worker pool.
+// by sharding the per-agent checks across the workers of a Fork of s.
 //
-// The entry point is read-only: s itself is never mutated. Each worker
-// owns a contiguous block of agents (parallel.Blocks, a deterministic
-// partition) and verifies them against its own private clone of the
-// state, whose speculative distance cache (CostAfter's snapshot/rewind
-// contract) is reused across the whole block without per-check cloning.
-// Per-agent verdicts depend only on the frozen state, never on worker
-// count or scheduling, and fold into the result in fixed agent order —
-// so the returned VerifyResult is identical for any Workers setting,
-// which is what lets sweeps record it under the byte-identical sharding
-// contract (pinned by TestVerifyParallelMatchesSerialOracle).
+// Verification leaves s as it found it: the profile, the network and
+// every row the state holds stay bit for bit. Each worker checks agents
+// taken from a shared counter against its own worker state, whose
+// speculative distance cache (CostAfter's snapshot/rewind contract) is
+// reused across all its agents, and whose rows start out borrowed from
+// s: rows the dynamics just left current are read, not recomputed. Join
+// then hands s the rows the workers computed and their cache counters.
+// Per-agent
+// verdicts depend only on the frozen state, never on worker count or
+// scheduling, and fold into the result in fixed agent order — so the
+// returned VerifyResult is identical for any Workers setting, which is
+// what lets sweeps record it under the byte-identical sharding contract
+// (pinned by TestVerifyParallelMatchesSerialOracle).
 //
 // Each agent is checked at the cheapest sufficient tier: its
 // GainCertificate first (one bound pass over the candidates); if the
@@ -184,17 +190,16 @@ func VerifyGreedyEquilibrium(s *State, opt VerifyOptions) VerifyResult {
 	if workers <= 0 {
 		workers = parallel.Workers()
 	}
-	if workers > n {
-		workers = n
-	}
+	f := s.Fork(workers)
 	verdicts := make([]agentVerdict, n)
-	parallel.Blocks(n, workers, func(_, lo, hi int) {
-		work := s.Clone()
-		for u := lo; u < hi; u++ {
-			verdicts[u] = verifyAgent(work, u, opt)
+	var next atomic.Int64
+	f.Each(func(_ int, ws *State) {
+		for u := int(next.Add(1)) - 1; u < n; u = int(next.Add(1)) - 1 {
+			verdicts[u] = verifyAgent(ws, u, opt)
 		}
 	})
-	res := VerifyResult{Stable: true, FirstImproving: -1, Workers: workers}
+	res := VerifyResult{Stable: true, FirstImproving: -1, Workers: f.Size()}
+	f.Join()
 	for u, v := range verdicts {
 		if v.skipped {
 			res.CertSkipped++

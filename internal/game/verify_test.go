@@ -1,8 +1,11 @@
 package game
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 )
@@ -46,7 +49,7 @@ func settle(s *State, maxRounds int) {
 // serial exhaustive oracle under worker counts {1, 4, GOMAXPROCS} and
 // both scan oracles — and the certificate skip count is identical for
 // every worker count. Run under -race in CI, this also exercises the
-// per-worker clone isolation.
+// isolation of fork workers that share the state's rows.
 func TestVerifyParallelMatchesSerialOracle(t *testing.T) {
 	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
 	for _, flavor := range repairFlavors {
@@ -85,23 +88,60 @@ func TestVerifyParallelMatchesSerialOracle(t *testing.T) {
 }
 
 // TestVerifyIsReadOnly: the concurrent entry point must leave the state
-// untouched — same profile, same network, same costs.
+// untouched — same profile, same network, same costs, and every cached
+// row and aggregate bit for bit, although the fork's workers repaired
+// (and so first copied) rows they borrowed from it.
 func TestVerifyIsReadOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	n := 10
 	g := New(repairHost(t, rng, n, "l2points"), 2)
 	s := NewState(g, randProfile(rng, n, 0.3))
 	before := s.P.Clone()
-	costBefore := s.SocialCost()
+	costBefore := s.SocialCost() // caches every row and aggregate
+	rowsBefore := cacheChecksums(s)
+	repairsBefore := s.CacheStats().BatchRepairs
 	VerifyGreedyEquilibrium(s, VerifyOptions{Workers: 4})
 	for u := 0; u < n; u++ {
 		if !s.P.S[u].Equal(before.S[u]) {
 			t.Fatalf("agent %d strategy mutated by verification", u)
 		}
 	}
+	if got := cacheChecksums(s); !reflect.DeepEqual(got, rowsBefore) {
+		t.Fatalf("cached rows or aggregates changed:\nbefore %x\nafter  %x", rowsBefore, got)
+	}
+	if s.CacheStats().BatchRepairs == repairsBefore {
+		t.Fatal("no worker repaired a borrowed row; the check is vacuous")
+	}
 	if got := s.SocialCost(); got != costBefore {
 		t.Fatalf("social cost changed: %v -> %v", costBefore, got)
 	}
+}
+
+// cacheChecksums hashes each cached row of s with its position and
+// aggregate (0 for an empty slot).
+func cacheChecksums(s *State) []uint64 {
+	c := s.cache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]uint64, len(c.rows))
+	for i, row := range c.rows {
+		if row == nil {
+			continue
+		}
+		h := fnv.New64a()
+		put := func(x uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, x)) }
+		put(c.rowPos[i])
+		for _, d := range row {
+			put(math.Float64bits(d))
+		}
+		a := c.agg[i]
+		put(math.Float64bits(a.total))
+		for _, b := range a.blocks {
+			put(math.Float64bits(b))
+		}
+		out[i] = h.Sum64()
+	}
+	return out
 }
 
 // TestCertificateSoundness: whenever a certificate rules out

@@ -1,5 +1,7 @@
 package graph
 
+import "sync"
+
 // heap is a lazy-deletion binary min-heap of (vertex, priority) pairs,
 // specialized for Dijkstra: duplicates are allowed and stale entries are
 // filtered by the caller's dist check. Avoiding container/heap's interface
@@ -10,12 +12,20 @@ type heap struct {
 	ps []float64
 }
 
-func newHeap(capacity int) *heap {
-	return &heap{
-		vs: make([]int32, 0, capacity),
-		ps: make([]float64, 0, capacity),
-	}
+// heaps recycles heaps across shortest-path calls. A heap per Dijkstra
+// or repair would be, after the distance rows themselves, the largest
+// allocation of a best-response scan, and that garbage paces the
+// collector.
+var heaps = sync.Pool{New: func() any { return new(heap) }}
+
+// getHeap returns an empty heap; pass it to putHeap when done.
+func getHeap() *heap {
+	h := heaps.Get().(*heap)
+	h.vs, h.ps = h.vs[:0], h.ps[:0]
+	return h
 }
+
+func putHeap(h *heap) { heaps.Put(h) }
 
 func (h *heap) len() int { return len(h.vs) }
 

@@ -16,12 +16,13 @@ func (g *Graph) MST() ([]Edge, float64) {
 	}
 	var edges []Edge
 	total := 0.0
+	h := getHeap() // empty again after each tree
+	defer putHeap(h)
 	for root := 0; root < g.n; root++ {
 		if inTree[root] {
 			continue
 		}
 		best[root] = 0
-		h := newHeap(g.n)
 		h.push(root, 0)
 		for h.len() > 0 {
 			u, p := h.pop()

@@ -40,7 +40,8 @@ func (g *Graph) repairAddBatch(dist []float64, added []Edge, mark func(x int)) {
 	if mark == nil {
 		mark = func(int) {}
 	}
-	h := newHeap(8)
+	h := getHeap()
+	defer putHeap(h)
 	for _, e := range added {
 		if math.IsInf(e.W, 1) {
 			continue
@@ -209,7 +210,8 @@ func (g *Graph) repairRemoveBatch(dist []float64, src int, removed []Edge, skipA
 			mark(x)
 		}
 	}
-	h := newHeap(len(affected))
+	h := getHeap()
+	defer putHeap(h)
 	for x := range affected {
 		dist[x] = math.Inf(1)
 	}

@@ -16,7 +16,8 @@ func (g *Graph) Dijkstra(src int) []float64 {
 		dist[i] = math.Inf(1)
 	}
 	dist[src] = 0
-	h := newHeap(g.n)
+	h := getHeap()
+	defer putHeap(h)
 	h.push(src, 0)
 	for h.len() > 0 {
 		u, du := h.pop()
@@ -52,7 +53,8 @@ func (g *Graph) DijkstraAvoiding(src, avoid int) []float64 {
 		dist[i] = math.Inf(1)
 	}
 	dist[src] = 0
-	h := newHeap(g.n)
+	h := getHeap()
+	defer putHeap(h)
 	h.push(src, 0)
 	for h.len() > 0 {
 		u, du := h.pop()

@@ -84,37 +84,6 @@ func ForWorkers(n, workers int, fn func(i int)) {
 	g.wait()
 }
 
-// Blocks partitions [0,n) into `workers` contiguous ranges and runs
-// fn(worker, lo, hi) concurrently, one goroutine per non-empty range.
-// Worker w owns [w*n/workers, (w+1)*n/workers), so the partition — unlike
-// For's dynamic handout — depends only on n and workers, never on
-// scheduling. Callers that keep per-worker scratch (a cloned state, a
-// private cache) use this shape: each index belongs to exactly one worker
-// and neighboring indices share that worker's warm scratch. workers <= 1
-// runs fn(0, 0, n) on the calling goroutine. A panic in fn is re-raised
-// on the calling goroutine after every worker has returned.
-func Blocks(n, workers int, fn func(worker, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, 0, n)
-		return
-	}
-	var g group
-	g.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer g.done()
-			fn(w, w*n/workers, (w+1)*n/workers)
-		}(w)
-	}
-	g.wait()
-}
-
 // Map computes out[i] = fn(i) for i in [0,n) in parallel.
 func Map[T any](n int, fn func(i int) T) []T {
 	out := make([]T, n)

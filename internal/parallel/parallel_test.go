@@ -115,15 +115,6 @@ func TestWorkerPanicReachesCaller(t *testing.T) {
 	}); r != "for worker 37" {
 		t.Fatalf("ForWorkers panic = %v, want the worker's value", r)
 	}
-	if r := recoverFrom(func() {
-		Blocks(10, 3, func(w, _, _ int) {
-			if w == 2 {
-				panic("block worker 2")
-			}
-		})
-	}); r != "block worker 2" {
-		t.Fatalf("Blocks panic = %v, want the worker's value", r)
-	}
 	if r := recoverFrom(func() { ForWorkers(10, 2, func(int) {}) }); r != nil {
 		t.Fatalf("ForWorkers without a panic raised %v", r)
 	}
