@@ -111,8 +111,9 @@ func registerEquilibriumXL() {
 			s := game.NewState(g, game.StarProfile(n, 0))
 			res := dynamics.RunToConvergence(s, dynamics.GreedyMover, dynamics.RoundRobin{}, ladderBudget(n))
 			// Scan telemetry of the convergence run alone: verification
-			// works on clones (counters discarded) and the exact-oracle
-			// sample runs unpruned scans, which never count.
+			// scans on the workers of a game.Fork, whose scan counters are
+			// never folded into s, and the exact-oracle sample runs
+			// unpruned scans, which never count.
 			scan := s.ScanStats()
 
 			verification, haveVerification := dynamics.VerifyConvergence(

@@ -1214,10 +1214,10 @@ func registerEquilibrium() {
 			s := game.NewState(g, start)
 			res := dynamics.RunToConvergence(s, dynamics.GreedyMover, dynamics.RoundRobin{}, ladderBudget(n))
 			// The dynamics' scan telemetry, before verification: the
-			// verifier works on clones (their counters are discarded) and
-			// the sampled exact oracle runs unpruned scans, which do not
-			// count — so these numbers describe exactly the convergence
-			// run above.
+			// verifier scans on the workers of a game.Fork, whose scan
+			// counters are never folded into s, and the sampled exact
+			// oracle runs unpruned scans, which do not count — so these
+			// numbers describe exactly the convergence run above.
 			scan := s.ScanStats()
 			lb := opt.LowerBound(g)
 

@@ -1,6 +1,7 @@
 // Package graph provides the weighted-graph substrate for the network
 // creation game: adjacency-list graphs with float64 weights, single-source
-// shortest paths (binary-heap Dijkstra), dynamic single-edge repair of
+// shortest paths (a depth-first walk on forests, binary-heap Dijkstra past
+// the first cycle; see shortestpath.go), dynamic single-edge repair of
 // Dijkstra rows (Ramalingam–Reps style; see repair.go), parallel all-pairs
 // shortest paths, a dense Floyd–Warshall used as a correctness cross-check,
 // Prim's minimum spanning tree, and structural queries (connectivity,
@@ -26,6 +27,7 @@ type Edge struct {
 // Parallel edges are not stored: AddEdge keeps the lighter weight.
 type Graph struct {
 	n   int
+	m   int // undirected edges, kept by AddEdge, RemoveEdge and Clone
 	adj [][]halfEdge
 }
 
@@ -55,13 +57,7 @@ func FromEdges(n int, edges []Edge) *Graph {
 func (g *Graph) N() int { return g.n }
 
 // M returns the number of undirected edges.
-func (g *Graph) M() int {
-	m := 0
-	for _, a := range g.adj {
-		m += len(a)
-	}
-	return m / 2
-}
+func (g *Graph) M() int { return g.m }
 
 // AddEdge inserts the undirected edge (u,v) with weight w. If the edge is
 // already present the lighter weight wins. Self-loops and negative weights
@@ -84,6 +80,7 @@ func (g *Graph) AddEdge(u, v int, w float64) {
 	}
 	g.adj[u] = append(g.adj[u], halfEdge{v, w})
 	g.adj[v] = append(g.adj[v], halfEdge{u, w})
+	g.m++
 }
 
 // RemoveEdge deletes the undirected edge (u,v) if present and reports
@@ -95,6 +92,7 @@ func (g *Graph) RemoveEdge(u, v int) bool {
 	}
 	g.adj[u] = deleteAt(g.adj[u], i)
 	g.adj[v] = deleteAt(g.adj[v], g.findHalf(v, u))
+	g.m--
 	return true
 }
 
@@ -139,6 +137,7 @@ func (g *Graph) Degree(u int) int {
 // Clone returns a deep copy.
 func (g *Graph) Clone() *Graph {
 	c := New(g.n)
+	c.m = g.m
 	for u := range g.adj {
 		c.adj[u] = append([]halfEdge(nil), g.adj[u]...)
 	}

@@ -7,6 +7,9 @@ import "sync"
 // filtered by the caller's dist check. Avoiding container/heap's interface
 // indirection roughly halves the constant factor of the inner loop, which
 // matters because APSP over every source dominates most experiments.
+// On forests the heap is never filled: shortestRow's depth-first walk
+// (walkForest) borrows vs as its stack instead, and the heap loop runs
+// only when the walk gives up at a cycle or an overflowing sum.
 type heap struct {
 	vs []int32
 	ps []float64

@@ -11,50 +11,46 @@ import (
 // graph construction already enforces; +Inf edge weights are skipped.
 func (g *Graph) Dijkstra(src int) []float64 {
 	g.checkVertex(src)
-	dist := make([]float64, g.n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	dist[src] = 0
-	h := getHeap()
-	defer putHeap(h)
-	h.push(src, 0)
-	for h.len() > 0 {
-		u, du := h.pop()
-		if du > dist[u] {
-			continue
-		}
-		for _, e := range g.adj[u] {
-			if math.IsInf(e.w, 1) {
-				continue
-			}
-			if nd := du + e.w; nd < dist[e.to] {
-				dist[e.to] = nd
-				h.push(e.to, nd)
-			}
-		}
-	}
-	return dist
+	return g.shortestRow(src, -1)
 }
 
 // DijkstraAvoiding returns shortest-path distances from src in the graph
 // with vertex `avoid` (and all its incident edges) removed. It is the
-// primitive behind the best-response solver's G∖u distances. If src ==
-// avoid the result is all +Inf except dist[src] = 0 has no meaning, so the
-// call panics.
+// primitive behind the best-response solver's G∖u distances. A row from
+// the removed vertex itself is undefined, so src == avoid panics.
 func (g *Graph) DijkstraAvoiding(src, avoid int) []float64 {
 	g.checkVertex(src)
 	g.checkVertex(avoid)
 	if src == avoid {
 		panic("graph: DijkstraAvoiding with src == avoid")
 	}
+	return g.shortestRow(src, avoid)
+}
+
+// shortestRow is the shortest-path core behind Dijkstra and
+// DijkstraAvoiding: distances from src with vertex avoid removed (avoid <
+// 0 removes none). It first tries walkForest, and runs the heap loop only
+// when the walk gives up. The walk is tried only while the edge count
+// still admits a forest (fewer edges than vertices, with avoid and its
+// edges discounted), so a connected network with a cycle never pays for a
+// walk bound to fail.
+func (g *Graph) shortestRow(src, avoid int) []float64 {
 	dist := make([]float64, g.n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	dist[src] = 0
 	h := getHeap()
 	defer putHeap(h)
+	m, n := g.m, g.n
+	if avoid >= 0 {
+		m, n = m-len(g.adj[avoid]), n-1
+	}
+	if m < n {
+		resetRow(dist, src)
+		stack, ok := g.walkForest(dist, src, avoid, h.vs[:0])
+		h.vs = stack[:0]
+		if ok {
+			return dist
+		}
+	}
+	resetRow(dist, src)
 	h.push(src, 0)
 	for h.len() > 0 {
 		u, du := h.pop()
@@ -71,8 +67,50 @@ func (g *Graph) DijkstraAvoiding(src, avoid int) []float64 {
 			}
 		}
 	}
-	dist[avoid] = math.Inf(1)
 	return dist
+}
+
+// resetRow sets dist to +Inf everywhere but dist[src] = 0.
+func resetRow(dist []float64, src int) {
+	for i := range dist {
+		dist[i] = math.Inf(1)
+	}
+	dist[src] = 0
+}
+
+// walkForest fills dist, as left by resetRow, by one depth-first walk of
+// src's component, setting dist[v] = dist[parent] + w. On a tree that is
+// the one path sum the heap loop forms, added left to right in the same
+// order, so the row is bit-identical. As in the heap loop, +Inf edges and edges into avoid are
+// absent. A finite dist marks a vertex as reached, so the walk reports
+// false, leaving dist part-filled, on the first edge to a reached vertex
+// other than the walk parent (the component has a cycle) and on the first
+// sum that is not below +Inf (an overflow, which the heap leaves
+// unreached). The DFS stack holds (vertex, parent) pairs; it is built on
+// the passed buffer and returned for reuse.
+func (g *Graph) walkForest(dist []float64, src, avoid int, stack []int32) ([]int32, bool) {
+	inf := math.Inf(1)
+	stack = append(stack, int32(src), -1)
+	for len(stack) > 0 {
+		u, parent := int(stack[len(stack)-2]), int(stack[len(stack)-1])
+		stack = stack[:len(stack)-2]
+		du := dist[u]
+		for _, e := range g.adj[u] {
+			if e.to == parent || e.to == avoid || math.IsInf(e.w, 1) {
+				continue
+			}
+			if dist[e.to] < inf {
+				return stack, false // e closes a cycle
+			}
+			nd := du + e.w
+			if !(nd < inf) {
+				return stack, false // overflow: the heap loop leaves e.to unreached
+			}
+			dist[e.to] = nd
+			stack = append(stack, int32(e.to), int32(u))
+		}
+	}
+	return stack, true
 }
 
 // APSP returns the all-pairs shortest-path matrix, computed with one
