@@ -95,8 +95,11 @@ func BenchmarkFig2VertexCoverReduction(b *testing.B) {
 func BenchmarkFig3OneTwoLowerBound(b *testing.B) {
 	var r poa.Row
 	for i := 0; i < b.N; i++ {
-		rows := poa.SweepThm8AlphaOne([]int{6})
-		r = rows[0]
+		lb, err := constructions.Thm8AlphaOne(6)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r = poa.VerifyLowerBound(lb, 6)
 	}
 	b.ReportMetric(r.Ratio, "poa")
 	reportVerified(b, r.Stable)
@@ -229,7 +232,11 @@ func BenchmarkFig5BRCycleTree(b *testing.B) {
 func BenchmarkFig6TreePoALowerBound(b *testing.B) {
 	var r poa.Row
 	for i := 0; i < b.N; i++ {
-		r = poa.SweepThm15(4, []int{40})[0]
+		lb, err := constructions.Thm15Star(40, 4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r = poa.VerifyLowerBound(lb, 40)
 	}
 	b.ReportMetric(r.Ratio, "poa")
 	b.ReportMetric(3, "bound")
@@ -274,7 +281,11 @@ func BenchmarkFig8BRCycleGeometric(b *testing.B) {
 func BenchmarkFig9PathVsStar(b *testing.B) {
 	var r poa.Row
 	for i := 0; i < b.N; i++ {
-		r = poa.SweepLemma8(3, []int{6})[0]
+		lb, err := constructions.Lemma8Path(6, 3)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r = poa.VerifyLowerBound(lb, 6)
 	}
 	b.ReportMetric(r.Ratio, "poa")
 	reportVerified(b, r.Stable && r.Ratio > 1)
@@ -301,7 +312,11 @@ func BenchmarkThm18FourPoint(b *testing.B) {
 func BenchmarkFig10CrossPolytope(b *testing.B) {
 	var r poa.Row
 	for i := 0; i < b.N; i++ {
-		r = poa.SweepThm19(4, []int{10})[0]
+		lb, err := constructions.Thm19CrossPolytope(10, 4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r = poa.VerifyLowerBound(lb, 10)
 	}
 	b.ReportMetric(r.Ratio, "poa")
 	reportVerified(b, r.Stable && math.Abs(r.Ratio-r.Predicted) < 1e-9)

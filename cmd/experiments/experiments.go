@@ -305,15 +305,14 @@ func registerFig3() {
 		},
 		Schema: []string{"nodes", "ratio", "limit", "tier", "stable"},
 		Run: func(p sweep.Params) []sweep.Record {
-			if p.Float("alpha") == 1 {
-				r := poa.SweepThm8AlphaOne([]int{p.Int("n")})[0]
-				return []sweep.Record{sweep.R("nodes", r.Size*r.Size+r.Size+1,
-					"ratio", r.Ratio, "limit", 1.5,
-					"tier", r.Tier.String(), "stable", report.Check(r.Stable))}
+			n, alpha := p.Int("n"), p.Float("alpha")
+			lb, limit := mustLB(constructions.Thm8AlphaOne(n)), 1.5
+			if alpha != 1 {
+				lb, limit = mustLB(constructions.Thm8HalfToOne(n, alpha)), 3/(alpha+2)
 			}
-			r := poa.SweepThm8HalfToOne(p.Float("alpha"), []int{p.Int("n")})[0]
-			return []sweep.Record{sweep.R("nodes", r.Size*r.Size+r.Size+1,
-				"ratio", r.Ratio, "limit", 3/(p.Float("alpha")+2),
+			r := poa.VerifyLowerBound(lb, n)
+			return []sweep.Record{sweep.R("nodes", n*n+n+1,
+				"ratio", r.Ratio, "limit", limit,
 				"tier", r.Tier.String(), "stable", report.Check(r.Stable))}
 		},
 	})
@@ -513,7 +512,8 @@ func registerFig6() {
 		},
 		Schema: []string{"ratio", "predicted", "limit", "tier", "stable"},
 		Run: func(p sweep.Params) []sweep.Record {
-			r := poa.SweepThm15(p.Float("alpha"), []int{p.Int("n")})[0]
+			n := p.Int("n")
+			r := poa.VerifyLowerBound(mustLB(constructions.Thm15Star(n, p.Float("alpha"))), n)
 			return []sweep.Record{sweep.R("ratio", r.Ratio, "predicted", r.Predicted,
 				"limit", (p.Float("alpha")+2)/2,
 				"tier", r.Tier.String(), "stable", report.Check(r.Stable))}
@@ -575,7 +575,8 @@ func registerFig9() {
 		},
 		Schema: []string{"ratio", "tier", "stable", "gt_one"},
 		Run: func(p sweep.Params) []sweep.Record {
-			r := poa.SweepLemma8(p.Float("alpha"), []int{p.Int("n")})[0]
+			n := p.Int("n")
+			r := poa.VerifyLowerBound(mustLB(constructions.Lemma8Path(n, p.Float("alpha"))), n)
 			return []sweep.Record{sweep.R("ratio", r.Ratio, "tier", r.Tier.String(),
 				"stable", report.Check(r.Stable), "gt_one", report.Check(r.Ratio > 1))}
 		},
@@ -619,8 +620,9 @@ func registerFig10() {
 		},
 		Schema: []string{"nodes", "ratio", "predicted", "limit", "tier", "stable"},
 		Run: func(p sweep.Params) []sweep.Record {
-			r := poa.SweepThm19(p.Float("alpha"), []int{p.Int("n")})[0]
-			return []sweep.Record{sweep.R("nodes", 2*r.Size+1, "ratio", r.Ratio,
+			n := p.Int("n")
+			r := poa.VerifyLowerBound(mustLB(constructions.Thm19CrossPolytope(n, p.Float("alpha"))), n)
+			return []sweep.Record{sweep.R("nodes", 2*n+1, "ratio", r.Ratio,
 				"predicted", r.Predicted, "limit", (p.Float("alpha")+2)/2,
 				"tier", r.Tier.String(), "stable", report.Check(r.Stable))}
 		},

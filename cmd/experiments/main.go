@@ -13,6 +13,8 @@
 //	experiments -run poa               # ...or by tag
 //	experiments -list                  # list experiment ids, tags, cell counts
 //	experiments -quick                 # smaller size ladders (CI-friendly)
+//	experiments -run fig6 -set alpha=0.5,2 -set n=10,2500
+//	                                   # replace axes of the selected experiments
 //	experiments -out results.json      # deterministic JSON results
 //	experiments -csv results.csv       # long-format CSV results
 //	experiments -wide dir/             # wide-format CSV, one file per experiment
@@ -31,7 +33,8 @@
 //
 // Sharded runs of the same selection are deterministic: the merged output
 // of all K shards is byte-identical to an unsharded run, for any K and
-// any worker count. The merge subcommand decodes shard JSON files,
+// any worker count; -set overrides change which cells there are, not
+// that contract. The merge subcommand decodes shard JSON files,
 // deduplicates and reorders cells by global sequence number (failing
 // loudly if the inputs disagree on a cell's parameters), and re-encodes —
 // no manual JSON surgery required. The serve subcommand runs the whole
@@ -80,18 +83,12 @@ func main() {
 	widePath := flag.String("wide", "", "write wide-format CSV results (one <experiment>.csv per experiment) into this directory")
 	tables := flag.Bool("tables", true, "render result tables to stdout")
 	progress := flag.Bool("progress", false, "report per-cell progress on stderr")
+	var sets []string
+	flag.Func("set", "replace an axis of every selected experiment: axis=v1,v2,… (repeatable, one axis each)",
+		func(s string) error { sets = append(sets, s); return nil })
 	flag.Parse()
 
 	ensureRegistered()
-
-	if *list {
-		for _, e := range sweep.All() {
-			fmt.Printf("%-12s %-28s cells=%-3d %s\n",
-				e.Name, "["+strings.Join(e.Tags, ",")+"]", len(e.Cells(*quick)), e.Title)
-		}
-		fmt.Printf("\ntags: %s\n", strings.Join(sweep.Tags(), ", "))
-		return
-	}
 
 	// Positional arguments are accepted as extra selectors, preserving the
 	// old `experiments fig6 thm18` invocation style.
@@ -106,6 +103,19 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v (use -list)\n", err)
 		os.Exit(2)
+	}
+	if exps, err = sweep.Override(exps, sets); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+
+	if *list {
+		for _, e := range exps {
+			fmt.Printf("%-12s %-28s cells=%-3d %s\n",
+				e.Name, "["+strings.Join(e.Tags, ",")+"]", len(e.Cells(*quick)), e.Title)
+		}
+		fmt.Printf("\ntags: %s\n", strings.Join(sweep.Tags(), ", "))
+		return
 	}
 
 	if *outPath == "-" && *csvPath == "-" {

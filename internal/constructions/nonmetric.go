@@ -16,7 +16,7 @@ import (
 // pairwise contribution ratio σ of the pair (a,c) is ((α+2)/2)² — the
 // value showing Thm 20's per-pair technique cannot beat ((α+2)/2)².
 func Thm20Triangle(alpha float64) (*LowerBound, error) {
-	if alpha <= 0 {
+	if !(alpha > 0) {
 		return nil, fmt.Errorf("constructions: Thm20Triangle needs alpha > 0, got %v", alpha)
 	}
 	heavy := (alpha + 2) / 2

@@ -98,7 +98,7 @@ func Thm8HalfToOne(N int, alpha float64) (*LowerBound, error) {
 	if N < 2 {
 		return nil, fmt.Errorf("constructions: Thm8HalfToOne needs N >= 2, got %d", N)
 	}
-	if alpha < 0.5 || alpha >= 1 {
+	if !(alpha >= 0.5 && alpha < 1) {
 		return nil, fmt.Errorf("constructions: Thm8HalfToOne needs 1/2 <= alpha < 1, got %v", alpha)
 	}
 	l := thm8Layout{N}

@@ -109,6 +109,9 @@ func TestThm8ParamValidation(t *testing.T) {
 	if _, err := Thm8HalfToOne(3, 1.0); err == nil {
 		t.Error("alpha=1.0 accepted")
 	}
+	if _, err := Thm8HalfToOne(3, math.NaN()); err == nil {
+		t.Error("alpha=NaN accepted")
+	}
 }
 
 func TestThm10StarIsNE(t *testing.T) {

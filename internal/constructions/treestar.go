@@ -22,7 +22,7 @@ func Thm15Star(n int, alpha float64) (*LowerBound, error) {
 	if n < 3 {
 		return nil, fmt.Errorf("constructions: Thm15Star needs n >= 3, got %d", n)
 	}
-	if alpha <= 0 {
+	if !(alpha > 0) {
 		return nil, fmt.Errorf("constructions: Thm15Star needs alpha > 0, got %v", alpha)
 	}
 	leafW := 2 / alpha
@@ -61,7 +61,7 @@ func Thm19CrossPolytope(d int, alpha float64) (*LowerBound, error) {
 	if d < 1 {
 		return nil, fmt.Errorf("constructions: Thm19CrossPolytope needs d >= 1, got %d", d)
 	}
-	if alpha <= 0 {
+	if !(alpha > 0) {
 		return nil, fmt.Errorf("constructions: Thm19CrossPolytope needs alpha > 0, got %v", alpha)
 	}
 	n := 2*d + 1
@@ -114,7 +114,7 @@ func Lemma8Path(m int, alpha float64) (*LowerBound, error) {
 	if m < 3 {
 		return nil, fmt.Errorf("constructions: Lemma8Path needs m >= 3 points, got %d", m)
 	}
-	if alpha <= 0 {
+	if !(alpha > 0) {
 		return nil, fmt.Errorf("constructions: Lemma8Path needs alpha > 0, got %v", alpha)
 	}
 	q := 1 + 2/alpha

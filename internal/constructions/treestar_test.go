@@ -194,4 +194,16 @@ func TestConstructionValidation(t *testing.T) {
 	if _, err := Lemma8Path(2, 1); err == nil {
 		t.Error("m=2 accepted")
 	}
+	if _, err := Thm15Star(5, math.NaN()); err == nil {
+		t.Error("Thm15Star alpha=NaN accepted")
+	}
+	if _, err := Thm19CrossPolytope(2, math.NaN()); err == nil {
+		t.Error("Thm19CrossPolytope alpha=NaN accepted")
+	}
+	if _, err := Lemma8Path(4, math.NaN()); err == nil {
+		t.Error("Lemma8Path alpha=NaN accepted")
+	}
+	if _, err := Thm20Triangle(math.NaN()); err == nil {
+		t.Error("Thm20Triangle alpha=NaN accepted")
+	}
 }

@@ -179,8 +179,8 @@ type Game struct {
 // New returns a game on host h with parameter alpha and the default
 // tolerance.
 func New(h *Host, alpha float64) *Game {
-	if alpha < 0 {
-		panic(fmt.Sprintf("game: negative alpha %v", alpha))
+	if !(alpha >= 0) {
+		panic(fmt.Sprintf("game: alpha %v is negative or NaN", alpha))
 	}
 	return &Game{Host: h, Alpha: alpha, Eps: DefaultEps}
 }

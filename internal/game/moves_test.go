@@ -1,6 +1,7 @@
 package game
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -135,10 +136,14 @@ func TestNewStatePanicsOnSizeMismatch(t *testing.T) {
 }
 
 func TestNegativeAlphaPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("negative alpha did not panic")
-		}
-	}()
-	New(NewHost(metric.Unit{N: 2}), -1)
+	for _, alpha := range []float64{-1, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("alpha %v did not panic", alpha)
+				}
+			}()
+			New(NewHost(metric.Unit{N: 2}), alpha)
+		}()
+	}
 }

@@ -60,14 +60,14 @@ func (g *Graph) N() int { return g.n }
 func (g *Graph) M() int { return g.m }
 
 // AddEdge inserts the undirected edge (u,v) with weight w. If the edge is
-// already present the lighter weight wins. Self-loops and negative weights
-// are rejected.
+// already present the lighter weight wins. Self-loops and negative or NaN
+// weights are rejected.
 func (g *Graph) AddEdge(u, v int, w float64) {
 	if u == v {
 		panic("graph: self-loop")
 	}
-	if w < 0 {
-		panic(fmt.Sprintf("graph: negative weight %v on (%d,%d)", w, u, v))
+	if !(w >= 0) {
+		panic(fmt.Sprintf("graph: weight %v on (%d,%d) is negative or NaN", w, u, v))
 	}
 	g.checkVertex(u)
 	g.checkVertex(v)

@@ -61,12 +61,16 @@ func TestSelfLoopPanics(t *testing.T) {
 }
 
 func TestNegativeWeightPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("negative weight did not panic")
-		}
-	}()
-	New(3).AddEdge(0, 1, -1)
+	for _, w := range []float64{-1, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("weight %v did not panic", w)
+				}
+			}()
+			New(3).AddEdge(0, 1, w)
+		}()
+	}
 }
 
 func TestDijkstraPath(t *testing.T) {

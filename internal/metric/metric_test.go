@@ -105,6 +105,17 @@ func TestNewPointsValidation(t *testing.T) {
 	if _, err := NewPoints([][]float64{{1}}, 0.5); err == nil {
 		t.Error("p < 1 accepted")
 	}
+	if _, err := NewPoints([][]float64{{1}}, math.NaN()); err == nil {
+		t.Error("p = NaN accepted")
+	}
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewPoints([][]float64{{0, 0}, {1, x}}, 2); err == nil {
+			t.Errorf("coordinate %v accepted", x)
+		}
+	}
+	if _, err := NewPoints([][]float64{{0}, {1}}, math.Inf(1)); err != nil {
+		t.Errorf("p = +Inf rejected: %v", err)
+	}
 }
 
 // TestTreeMetricMatchesDijkstra: LCA-based tree distances must equal

@@ -25,9 +25,10 @@ type Points struct {
 }
 
 // NewPoints validates and wraps a coordinate list. All points must share
-// the same dimension and p must be >= 1 (or +Inf).
+// the same dimension and have finite coordinates, and p must be >= 1
+// (or +Inf).
 func NewPoints(coords [][]float64, p float64) (*Points, error) {
-	if p < 1 && !math.IsInf(p, 1) {
+	if !(p >= 1) {
 		return nil, fmt.Errorf("metric: p-norm requires p >= 1, got %v", p)
 	}
 	if len(coords) == 0 {
@@ -37,6 +38,11 @@ func NewPoints(coords [][]float64, p float64) (*Points, error) {
 	for i, c := range coords {
 		if len(c) != d {
 			return nil, fmt.Errorf("metric: point %d has dimension %d, want %d", i, len(c), d)
+		}
+		for _, x := range c {
+			if !(math.Abs(x) <= math.MaxFloat64) {
+				return nil, fmt.Errorf("metric: point %d has non-finite coordinate %v", i, x)
+			}
 		}
 	}
 	return &Points{Coords: coords, P: p}, nil

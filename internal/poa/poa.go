@@ -1,6 +1,6 @@
 // Package poa measures Price-of-Anarchy quantities: cost ratios between
-// candidate equilibria and candidate optima, sweeps of the paper's
-// lower-bound families over α and size, and empirical PoA estimates from
+// candidate equilibria and candidate optima, verified rows of the
+// paper's lower-bound families, and empirical PoA estimates from
 // equilibria found by dynamics on random instances. Together these
 // regenerate the PoA column of Table 1 and the quantitative content of
 // Figures 3, 6, 9 and 10.
@@ -8,16 +8,14 @@
 // Equilibrium candidates are verified at the strongest affordable tier,
 // downgrading with instance size rather than failing: exact Nash
 // (TierExactNash, one exact best response per agent) up to
-// exactNashLimit, certified parallel greedy verification (TierGreedy,
-// game.VerifyGreedyEquilibrium) up to greedyVerifyLimitFor(workers),
-// and measurement-only (TierNone, rendered "unchecked") beyond. The
-// tier a row lands in depends only on n and the worker budget — never
-// on the verdict — and verdicts themselves are identical for every
-// worker count, so sweep rows stay byte-deterministic.
+// exactNashLimit, certified greedy verification (TierGreedy,
+// game.VerifyGreedyEquilibrium) up to greedyVerifyLimit, and
+// measurement-only (TierNone, rendered "unchecked") beyond. The tier a
+// row lands in depends only on n, never on the verdict, so sweep rows
+// stay byte-deterministic.
 package poa
 
 import (
-	"fmt"
 	"math"
 
 	"gncg/internal/bestresponse"
@@ -62,163 +60,60 @@ type Row struct {
 	Predicted float64
 	Tier      VerificationTier
 	Stable    bool // the candidate passed the check of its tier
-	// VerifyWorkers is the verification worker count the row's check
-	// ran with (0 when the row went unverified), and CertSkipped counts
-	// agents the greedy tier's gain-bound certificates proved stable
-	// without a candidate scan (game.GainCertificate). Both are
-	// worker-schedule-invariant, so rows stay byte-deterministic.
-	VerifyWorkers int
-	CertSkipped   int
 }
 
 // exactNashLimit bounds the instance size for exact NE verification in
 // sweeps: beyond it the greedy tier is used. The check computes one
-// exact best response per agent — worst-case exponential regardless of
-// how many workers share the agents — so the limit does not scale with
-// the worker count: parallelism buys a constant factor against an
-// exponential wall.
+// exact best response per agent, worst-case exponential in n.
 const exactNashLimit = 14
 
-// greedyVerifyLimit is the instance-size budget for single-worker
-// greedy-equilibrium verification. The magic number is a wall-clock
-// budget, not a correctness bound: each agent's certificate pass is
-// O(n log n) and each non-skipped agent's scan is ~n candidate
-// evaluations, so a full check is quadratic-plus and ~n = 2000 is where
-// it stops paying for itself in interactive sweeps on one core.
-//
-// greedyVerifyLimitFor scales the budget with the verification worker
-// count: total verification work grows ~quadratically in n while
-// workers divide wall time linearly, so equal wall time is reached at
-// n ≈ base·√workers (4 workers ⇒ ~4000, 16 ⇒ 8000). The downgrade
-// policy is unchanged: a row beyond the (scaled) limit still measures
-// its ratio — hosts are lazy, so construction and cost evaluation stay
-// O(n) memory at n = 5000+ — but goes unverified: TierNone with
-// Stable=false, rendered "unchecked".
+// greedyVerifyLimit is the instance-size budget for greedy-equilibrium
+// verification on one worker. The magic number is a wall-clock budget,
+// not a correctness bound: each agent's certificate pass is O(n log n)
+// and each non-skipped agent's scan is ~n candidate evaluations, so a
+// full check is quadratic-plus and ~n = 2000 is where it stops paying
+// for itself in interactive sweeps on one core. A row beyond the limit
+// still measures its ratio — hosts are lazy, so construction and cost
+// evaluation stay O(n) memory at n = 5000+ — but goes unverified:
+// TierNone with Stable=false, rendered "unchecked".
 const greedyVerifyLimit = 2000
-
-func greedyVerifyLimitFor(workers int) int {
-	if workers <= 1 {
-		return greedyVerifyLimit
-	}
-	return int(float64(greedyVerifyLimit) * math.Sqrt(float64(workers)))
-}
 
 // VerifyLowerBound checks a construction's equilibrium candidate at the
 // strongest tier affordable on one verification worker and returns the
-// sweep row. (The single-worker form keeps tier assignment — and hence
-// row encoding — machine-independent; VerifyLowerBoundWorkers raises
-// the greedy tier's reach on multi-core budgets.)
+// sweep row: exact Nash via one exact best response per agent up to
+// exactNashLimit, then certificate-accelerated greedy verification
+// (game.VerifyGreedyEquilibrium) up to greedyVerifyLimit, then
+// measurement only. The check runs on one worker, since sweep cells
+// already run in parallel.
 func VerifyLowerBound(lb *constructions.LowerBound, size int) Row {
-	return VerifyLowerBoundWorkers(lb, size, 1)
-}
-
-// VerifyLowerBoundWorkers checks a construction's equilibrium candidate
-// at the strongest tier affordable with the given verification worker
-// budget (<= 0 means GOMAXPROCS): exact Nash via one exact best
-// response per agent (bestresponse.VerifyNashWorkers) up to
-// exactNashLimit, then certificate-accelerated parallel greedy
-// verification (game.VerifyGreedyEquilibrium) up to
-// greedyVerifyLimitFor(workers), then measurement only. Verdicts are
-// identical for every worker count; only wall time and the tier cutoff
-// depend on the budget.
-func VerifyLowerBoundWorkers(lb *constructions.LowerBound, size, workers int) Row {
-	if workers <= 0 {
-		workers = parallel.Workers()
-	}
-	row := MeasureLowerBound(lb, size)
-	n := lb.Game.N()
-	// The exact-Nash tier is model-gated: cost models without the UMFL
-	// best-response reduction (Rules.ExactNashViaUMFL false) cannot be
-	// exactly verified — bestresponse.VerifyNashWorkers rejects them —
-	// so such games downgrade to the greedy tier instead of panicking.
-	// Tier assignment still depends only on (n, workers, model), never
-	// on a verdict, so rows stay byte-deterministic.
-	switch {
-	case n <= exactNashLimit && lb.Game.Rules().ExactNashViaUMFL():
-		rep := bestresponse.VerifyNashWorkers(game.NewState(lb.Game, lb.Equilibrium.Clone()), workers)
-		row.Tier = TierExactNash
-		row.Stable = rep.Nash
-		row.VerifyWorkers = rep.Workers
-	case n <= greedyVerifyLimitFor(workers):
-		res := game.VerifyGreedyEquilibrium(
-			game.NewState(lb.Game, lb.Equilibrium.Clone()),
-			game.VerifyOptions{Workers: workers})
-		row.Tier = TierGreedy
-		row.Stable = res.Stable
-		row.VerifyWorkers = res.Workers
-		row.CertSkipped = res.CertSkipped
-	}
-	return row
-}
-
-// MeasureLowerBound evaluates a construction's ratio without verifying
-// the equilibrium candidate (TierNone): the measurement path for sizes
-// beyond greedyVerifyLimit, where cmd/poa ladders the closed-form
-// families to n = 5000+ on lazy hosts.
-func MeasureLowerBound(lb *constructions.LowerBound, size int) Row {
-	return Row{
+	row := Row{
 		Name:      lb.Name,
 		Alpha:     lb.Game.Alpha,
 		Size:      size,
 		Ratio:     lb.Ratio(),
 		Predicted: lb.Predicted,
 	}
-}
-
-// familyConstructors maps the CLI family names to their lower-bound
-// constructors. thm8a1 ignores alpha (the family is defined at α = 1).
-var familyConstructors = map[string]func(size int, alpha float64) (*constructions.LowerBound, error){
-	"thm15":    constructions.Thm15Star,
-	"thm19":    constructions.Thm19CrossPolytope,
-	"thm8a1":   func(size int, _ float64) (*constructions.LowerBound, error) { return constructions.Thm8AlphaOne(size) },
-	"thm8half": constructions.Thm8HalfToOne,
-	"lemma8":   constructions.Lemma8Path,
-}
-
-// SweepFamily runs one named lower-bound family ("thm15", "thm19",
-// "thm8a1", "thm8half", "lemma8") across the size ladder with an
-// explicit verification worker budget per cell (<= 0 means GOMAXPROCS;
-// see VerifyLowerBoundWorkers). Cells are constructed in parallel;
-// verdicts and ratios are identical for any budget, only the tier cutoff
-// and wall time move.
-func SweepFamily(family string, alpha float64, sizes []int, verifyWorkers int) ([]Row, error) {
-	build, ok := familyConstructors[family]
-	if !ok {
-		return nil, fmt.Errorf("poa: unknown family %q", family)
+	n := lb.Game.N()
+	// The exact-Nash tier is model-gated: cost models without the UMFL
+	// best-response reduction (Rules.ExactNashViaUMFL false) cannot be
+	// exactly verified — bestresponse.VerifyNashWorkers rejects them —
+	// so such games downgrade to the greedy tier instead of panicking.
+	// Tier assignment depends only on (n, model), never on a verdict,
+	// so rows stay byte-deterministic.
+	switch {
+	case n <= exactNashLimit && lb.Game.Rules().ExactNashViaUMFL():
+		rep := bestresponse.VerifyNashWorkers(game.NewState(lb.Game, lb.Equilibrium.Clone()), 1)
+		row.Tier = TierExactNash
+		row.Stable = rep.Nash
+	case n <= greedyVerifyLimit:
+		res := game.VerifyGreedyEquilibrium(
+			game.NewState(lb.Game, lb.Equilibrium.Clone()),
+			game.VerifyOptions{Workers: 1})
+		row.Tier = TierGreedy
+		row.Stable = res.Stable
 	}
-	return parallel.Map(len(sizes), func(i int) Row {
-		lb, err := build(sizes[i], alpha)
-		if err != nil {
-			panic(err)
-		}
-		return VerifyLowerBoundWorkers(lb, sizes[i], verifyWorkers)
-	}), nil
+	return row
 }
-
-func mustSweep(family string, alpha float64, sizes []int) []Row {
-	rows, err := SweepFamily(family, alpha, sizes, 1)
-	if err != nil {
-		panic(err)
-	}
-	return rows
-}
-
-// SweepThm15 regenerates the Fig. 6 series: the T–GNCG star family across
-// sizes for a fixed α, verified on one worker.
-func SweepThm15(alpha float64, sizes []int) []Row { return mustSweep("thm15", alpha, sizes) }
-
-// SweepThm19 regenerates the Fig. 10 series: the ℓ1 cross-polytope family
-// across dimensions for a fixed α, verified on one worker.
-func SweepThm19(alpha float64, dims []int) []Row { return mustSweep("thm19", alpha, dims) }
-
-// SweepThm8AlphaOne regenerates the Fig. 3 series for α = 1 across N.
-func SweepThm8AlphaOne(sizes []int) []Row { return mustSweep("thm8a1", 1, sizes) }
-
-// SweepThm8HalfToOne regenerates the Fig. 3 series for 1/2 <= α < 1.
-func SweepThm8HalfToOne(alpha float64, sizes []int) []Row { return mustSweep("thm8half", alpha, sizes) }
-
-// SweepLemma8 regenerates the Fig. 9 series across point counts.
-func SweepLemma8(alpha float64, sizes []int) []Row { return mustSweep("lemma8", alpha, sizes) }
 
 // Empirical is the result of estimating the PoA on one random instance:
 // the worst equilibrium found by dynamics from several starts, against

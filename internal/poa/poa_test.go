@@ -4,12 +4,29 @@ import (
 	"math"
 	"testing"
 
+	"gncg/internal/constructions"
 	"gncg/internal/game"
 	"gncg/internal/gen"
 )
 
+// verifyRows builds the construction at each size and verifies it.
+func verifyRows(t *testing.T, build func(size int) (*constructions.LowerBound, error), sizes ...int) []Row {
+	t.Helper()
+	rows := make([]Row, len(sizes))
+	for i, size := range sizes {
+		lb, err := build(size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows[i] = VerifyLowerBound(lb, size)
+	}
+	return rows
+}
+
 func TestSweepThm15RowsVerify(t *testing.T) {
-	rows := SweepThm15(2, []int{4, 8, 20})
+	rows := verifyRows(t, func(n int) (*constructions.LowerBound, error) {
+		return constructions.Thm15Star(n, 2)
+	}, 4, 8, 20)
 	for _, r := range rows {
 		if !r.Stable {
 			t.Fatalf("row %+v: equilibrium candidate unstable", r)
@@ -28,7 +45,10 @@ func TestSweepThm15RowsVerify(t *testing.T) {
 }
 
 func TestSweepThm19RowsVerify(t *testing.T) {
-	for _, r := range SweepThm19(1.5, []int{1, 2, 4}) {
+	rows := verifyRows(t, func(d int) (*constructions.LowerBound, error) {
+		return constructions.Thm19CrossPolytope(d, 1.5)
+	}, 1, 2, 4)
+	for _, r := range rows {
 		if !r.Stable || math.Abs(r.Ratio-r.Predicted) > 1e-9 {
 			t.Fatalf("bad row %+v", r)
 		}
@@ -36,7 +56,7 @@ func TestSweepThm19RowsVerify(t *testing.T) {
 }
 
 func TestSweepThm8Rows(t *testing.T) {
-	for _, r := range SweepThm8AlphaOne([]int{2, 3}) {
+	for _, r := range verifyRows(t, constructions.Thm8AlphaOne, 2, 3) {
 		if !r.Stable {
 			t.Fatalf("Thm8 alpha=1 candidate unstable: %+v", r)
 		}
@@ -44,7 +64,10 @@ func TestSweepThm8Rows(t *testing.T) {
 			t.Fatalf("Thm8 alpha=1 ratio %v exceeds asymptote", r.Ratio)
 		}
 	}
-	for _, r := range SweepThm8HalfToOne(0.7, []int{2, 3}) {
+	half := verifyRows(t, func(n int) (*constructions.LowerBound, error) {
+		return constructions.Thm8HalfToOne(n, 0.7)
+	}, 2, 3)
+	for _, r := range half {
 		if !r.Stable {
 			t.Fatalf("Thm8 half candidate unstable: %+v", r)
 		}
@@ -52,7 +75,10 @@ func TestSweepThm8Rows(t *testing.T) {
 }
 
 func TestSweepLemma8Rows(t *testing.T) {
-	for _, r := range SweepLemma8(1, []int{4, 5, 6}) {
+	rows := verifyRows(t, func(m int) (*constructions.LowerBound, error) {
+		return constructions.Lemma8Path(m, 1)
+	}, 4, 5, 6)
+	for _, r := range rows {
 		if !r.Stable || r.Ratio <= 1 {
 			t.Fatalf("bad Lemma 8 row %+v", r)
 		}

@@ -7,11 +7,11 @@ import (
 	"gncg/internal/constructions"
 )
 
-// TestLowerBoundFamilyLazyAtScale pins the scale path cmd/poa takes for
-// `-family thm15 -sizes 5000`: the construction must stay lazy — O(n)
-// bytes for the tree host, never a densified O(n²) matrix — and the
-// sweep row beyond greedyVerifyLimit must measure the ratio at TierNone
-// instead of launching the quadratic stability check.
+// TestLowerBoundFamilyLazyAtScale pins the scale path a fig6 sweep
+// takes at `experiments -run fig6 -set n=5000`: the construction must
+// stay lazy — O(n) bytes for the tree host, never a densified O(n²)
+// matrix — and the sweep row beyond greedyVerifyLimit must measure the
+// ratio at TierNone instead of launching the quadratic stability check.
 func TestLowerBoundFamilyLazyAtScale(t *testing.T) {
 	const n = 5000
 	var before, after runtime.MemStats
@@ -45,8 +45,8 @@ func TestLowerBoundFamilyLazyAtScale(t *testing.T) {
 	if row.Ratio <= 1 || row.Predicted <= 1 {
 		t.Fatalf("implausible measured ratio %v (predicted %v)", row.Ratio, row.Predicted)
 	}
-	measured := MeasureLowerBound(lb, 2500)
-	if measured.Ratio != row.Ratio || measured.Tier != TierNone {
-		t.Fatalf("MeasureLowerBound row %+v differs from verify path %+v", measured, row)
+	if row.Ratio != lb.Ratio() || row.Predicted != lb.Predicted {
+		t.Fatalf("unchecked row %+v does not carry the construction's ratio %v (predicted %v)",
+			row, lb.Ratio(), lb.Predicted)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"strconv"
+	"strings"
 )
 
 // JSONValue renders v as one deterministic JSON token. Floats use the
@@ -47,8 +48,11 @@ func jsonFloat(x float64) string {
 	}
 }
 
+// jsonString replaces invalid UTF-8 with U+FFFD itself: json.Marshal
+// would write the escape \ufffd, which decodes to U+FFFD and re-encodes
+// as its raw bytes, so the token would not survive a round trip.
 func jsonString(s string) string {
-	b, err := json.Marshal(s)
+	b, err := json.Marshal(strings.ToValidUTF8(s, "\uFFFD"))
 	if err != nil {
 		// json.Marshal of a string cannot fail.
 		panic("report: unreachable: " + err.Error())

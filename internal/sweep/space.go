@@ -1,6 +1,13 @@
 package sweep
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"math"
+	"slices"
+	"strconv"
+	"strings"
+)
 
 // Axis is one named, typed dimension of a parameter Space: an ordered
 // value list the space crosses with its other axes. Values are
@@ -116,4 +123,99 @@ func (sp Space) Cells() []Params {
 		}
 	}
 	return cells
+}
+
+// Override replaces named axes of every experiment's Space, in full and
+// quick mode alike. Each set is "axis=v1,v2,…" (one axis per set, each
+// axis at most once), and each value is parsed by the type of the axis
+// it replaces: int, int64, float64 (finite only: non-finite floats encode
+// as string tokens, so they would change a cell's identity) or a
+// non-empty string. An experiment that lacks a named axis fails the
+// whole override. With no sets the experiments are returned unchanged.
+func Override(exps []Experiment, sets []string) ([]Experiment, error) {
+	if len(sets) == 0 {
+		return exps, nil
+	}
+	var names []string
+	raw := map[string][]string{}
+	for _, set := range sets {
+		name, list, ok := strings.Cut(set, "=")
+		name = strings.TrimSpace(name)
+		switch {
+		case !ok || name == "":
+			return nil, fmt.Errorf("sweep: -set %q: want axis=v1,v2,…", set)
+		case raw[name] != nil:
+			return nil, fmt.Errorf("sweep: -set: axis %q given twice", name)
+		case strings.TrimSpace(list) == "":
+			return nil, fmt.Errorf("sweep: -set %q: empty value list", set)
+		}
+		names = append(names, name)
+		raw[name] = strings.Split(list, ",")
+	}
+	out := make([]Experiment, len(exps))
+	for i, e := range exps {
+		var spaces [2]Space // [full, quick]
+		for mode, quick := range []bool{false, true} {
+			var sp Space
+			if e.Space != nil {
+				sp = e.Space(quick)
+			}
+			axes := append([]Axis(nil), sp.Axes...)
+			for _, name := range names {
+				j := slices.IndexFunc(axes, func(a Axis) bool { return a.Name == name })
+				if j < 0 || len(axes[j].Values) == 0 {
+					return nil, fmt.Errorf("sweep: -set: experiment %q has no axis %q", e.Name, name)
+				}
+				vals, err := parseAxisValues(axes[j].Values[0], raw[name])
+				if err != nil {
+					return nil, fmt.Errorf("sweep: -set %s: experiment %q: %w", name, e.Name, err)
+				}
+				axes[j] = Axis{Name: name, Values: vals}
+			}
+			spaces[mode] = Space{Axes: axes}
+		}
+		e.Space = func(quick bool) Space {
+			if quick {
+				return spaces[1]
+			}
+			return spaces[0]
+		}
+		out[i] = e
+	}
+	return out, nil
+}
+
+// parseAxisValues parses each value as the type of like.
+func parseAxisValues(like any, list []string) ([]any, error) {
+	vals := make([]any, len(list))
+	for i, s := range list {
+		s = strings.TrimSpace(s)
+		var v any
+		var err error
+		switch like.(type) {
+		case int:
+			v, err = strconv.Atoi(s)
+		case int64:
+			v, err = strconv.ParseInt(s, 10, 64)
+		case float64:
+			var f float64
+			f, err = strconv.ParseFloat(s, 64)
+			if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+				err = errors.New("not finite")
+			}
+			v = f
+		case string:
+			if s == "" {
+				err = errors.New("empty")
+			}
+			v = s
+		default:
+			err = fmt.Errorf("axis holds %T", like)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("value %q is not a valid %T: %w", s, like, err)
+		}
+		vals[i] = v
+	}
+	return vals, nil
 }

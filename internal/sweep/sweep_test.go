@@ -374,6 +374,71 @@ func TestSpaceExpansion(t *testing.T) {
 	mustPanic(t, func() { Space{Axes: []Axis{Ints("n")}}.Cells() })
 }
 
+// TestOverride: -set values replace an axis in full and quick mode,
+// typed like the axis they replace; setting the declared values again
+// reproduces the declared cells byte for byte; the input experiments
+// are left as declared.
+func TestOverride(t *testing.T) {
+	exps := toyExperiments()
+	if got, err := Override(exps, nil); err != nil || &got[0] != &exps[0] {
+		t.Fatalf("no sets: got %v, %v; want the input unchanged", got, err)
+	}
+	if _, err := Override(exps[:2], []string{"seed=5,9", "host=a"}); err == nil {
+		t.Fatal("override of an axis toy-trials lacks accepted")
+	}
+	over, err := Override(exps[:1], []string{"seed=5,9", " host = a, b ,c", "alpha=-0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, quick := range []bool{false, true} {
+		cells := over[0].Cells(quick)
+		if len(cells) != 3*2*1*2*2 {
+			t.Fatalf("quick=%v: %d cells, want 24", quick, len(cells))
+		}
+		c := cells[len(cells)-1]
+		if c.Str("host") != "c" || c.Seed() != 9 || c.Int("n") != 8 ||
+			!math.Signbit(c.Float("alpha")) || c.Float("alpha") != 0 {
+			t.Fatalf("quick=%v: last cell %v", quick, c.Values)
+		}
+		if _, ok := c.value("seed").(int64); !ok {
+			t.Fatalf("seed parsed as %T, want int64", c.value("seed"))
+		}
+	}
+	if n := len(exps[0].Cells(false)); n != 2*2*3*2*3 {
+		t.Fatalf("declared experiment changed: %d cells", n)
+	}
+
+	same, err := Override(exps[:1], []string{"alpha=0.5,1,2", "n=4,8", "seed=0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Run(exps[:1], Config{Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(same, Config{Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wj, _ := encodeBoth(t, want)
+	gj, _ := encodeBoth(t, got)
+	if wj != gj {
+		t.Fatalf("re-setting the declared values changed the output:\n%s\nwant\n%s", gj, wj)
+	}
+
+	for _, bad := range [][]string{
+		{"n=4.5"}, {"seed=1.0"}, {"alpha=nan"}, {"alpha=Inf"}, {"host="}, {"host=a,"},
+		{"n=4", "n=8"}, {"=4"}, {"n"}, {"missing=1"},
+	} {
+		if _, err := Override(exps[:1], bad); err == nil {
+			t.Errorf("Override(%q) accepted", bad)
+		}
+	}
+	if _, err := Override(exps[2:], []string{"n=1"}); err == nil {
+		t.Error("override of a scalar experiment accepted")
+	}
+}
+
 func TestParamsAccessors(t *testing.T) {
 	p := Params{Experiment: "e", Values: []AxisValue{
 		{"alpha", 1.5}, {"n", 8}, {"seed", int64(3)}, {"sched", "rr"},
@@ -476,10 +541,10 @@ func TestCellPanicIsCaptured(t *testing.T) {
 func TestEncodeNonFiniteAndEscaping(t *testing.T) {
 	rs := &ResultSet{Cells: []CellResult{{
 		Seq: 0, Experiment: `quo"ted`,
-		Records: []Record{R("pos", math.Inf(1), "neg", math.Inf(-1), "text", "a,b\nc")},
+		Records: []Record{R("pos", math.Inf(1), "neg", math.Inf(-1), "text", "a,b\nc", "bad", "x\xffy")},
 	}}}
 	j, c := encodeBoth(t, rs)
-	for _, want := range []string{`"inf"`, `"-inf"`, `"quo\"ted"`} {
+	for _, want := range []string{`"inf"`, `"-inf"`, `"quo\"ted"`, "\"x\uFFFDy\""} {
 		if !strings.Contains(j, want) {
 			t.Fatalf("JSON missing %s:\n%s", want, j)
 		}
