@@ -454,8 +454,8 @@ func BenchmarkCostQueriesCached(b *testing.B) {
 
 // BenchmarkGreedyDynamicsCached runs greedy move dynamics from a star
 // seed — the BestSingleMove scan re-queries the mover's current cost and
-// speculatively evaluates candidates, which the cache's snapshot/restore
-// turns into hits for untouched sources.
+// speculatively evaluates candidates, each a scratch repair of the
+// mover's current row that leaves every cached row as it was.
 func BenchmarkGreedyDynamicsCached(b *testing.B) {
 	n := 24
 	g := game.New(game.NewHost(gen.Points(4, n, 2, 10, 2)), 1.5)

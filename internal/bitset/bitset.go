@@ -71,16 +71,6 @@ func (s Set) Count() int {
 	return c
 }
 
-// Empty reports whether the set has no elements.
-func (s Set) Empty() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Clone returns an independent copy of the set.
 func (s Set) Clone() Set {
 	c := Set{n: s.n, words: make([]uint64, len(s.words))}
@@ -157,29 +147,6 @@ func (s Set) Union(t Set) {
 	for i := range s.words {
 		s.words[i] |= t.words[i]
 	}
-}
-
-// Subtract removes every element of t from s. The universes must match.
-func (s Set) Subtract(t Set) {
-	if s.n != t.n {
-		panic("bitset: universe mismatch")
-	}
-	for i := range s.words {
-		s.words[i] &^= t.words[i]
-	}
-}
-
-// Intersects reports whether s and t share at least one element.
-func (s Set) Intersects(t Set) bool {
-	if s.n != t.n {
-		panic("bitset: universe mismatch")
-	}
-	for i := range s.words {
-		if s.words[i]&t.words[i] != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // Hash folds the set contents into a 64-bit FNV-1a value, for use in

@@ -123,14 +123,22 @@ func (c *distCache) finishAggUpdate(s *State, i int, row []float64) {
 	a := &c.agg[i]
 	if !a.valid || a.epoch != s.G.costEpoch || len(a.blocks) != (len(row)+aggBlock-1)/aggBlock {
 		*a = buildRowAgg(s, i, row)
-	} else {
-		for _, b := range c.aggDirty {
-			lo := b * aggBlock
-			a.blocks[b] = s.foldBlock(i, row, lo, min(lo+aggBlock, len(row)))
-		}
-		a.total = foldBlocks(a.blocks)
+		c.clearAggScratch()
+		return
+	}
+	a.total = c.refoldLocked(s, i, row, a.blocks)
+}
+
+// refoldLocked recomputes the dirty blocks of row i's block sums from
+// the repaired row, clears the dirty scratch and returns the refolded
+// total. Caller holds c.mu.
+func (c *distCache) refoldLocked(s *State, i int, row, blocks []float64) float64 {
+	for _, b := range c.aggDirty {
+		lo := b * aggBlock
+		blocks[b] = s.foldBlock(i, row, lo, min(lo+aggBlock, len(row)))
 	}
 	c.clearAggScratch()
+	return foldBlocks(blocks)
 }
 
 func (c *distCache) clearAggScratch() {
@@ -151,12 +159,19 @@ func (c *distCache) aggTotal(s *State, u int, countHit bool) (float64, bool) {
 	if c.rows[u] == nil || c.rowPos[u] != c.head {
 		return 0, false
 	}
+	if countHit {
+		c.stats.Hits++
+	}
+	return c.aggLocked(s, u).total, true
+}
+
+// aggLocked returns cached row u's aggregate, rebuilding it first if the
+// traffic matrix or the cost model changed since it was computed. Caller
+// holds c.mu.
+func (c *distCache) aggLocked(s *State, u int) *rowAgg {
 	a := &c.agg[u]
 	if !a.valid || a.epoch != s.G.costEpoch {
 		*a = buildRowAgg(s, u, c.rows[u])
 	}
-	if countHit {
-		c.stats.Hits++
-	}
-	return a.total, true
+	return a
 }

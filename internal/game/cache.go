@@ -24,13 +24,10 @@ import (
 // budget, are dropped and recomputed on demand. Bulk strategy
 // replacements bump: the log is discarded and every row expires.
 //
-// Positions also make speculative evaluation cheap to undo: CostAfter
-// snapshots the head, mutates, evaluates, exactly reverts the mutation
-// and calls restore, which rewinds the head to the snapshot — rows that
-// were current before the speculation never notice it, rows read during
-// it are batch-repaired across the leftover deltas (usually a net-zero
-// diff) and land back on the snapshot position, and the speculative log
-// suffix is dropped.
+// Speculative evaluation never writes the cache: CostAfter repairs a
+// scratch copy of the mover's current row across the move's edge flips
+// (see State.speculativeDistCost), so no delta is logged, the head never
+// moves and every row current before the call is current after it.
 //
 // Cached rows are capped (rowCacheCap) so the cache holds O(cap·n)
 // floats, not O(n²), at scale; a clock sweep evicts stale rows first.
@@ -68,23 +65,13 @@ type distCache struct {
 	cap      int    // max cached private rows
 	clock    int    // eviction sweep pointer
 
-	// Speculation bookkeeping: while the snapshot is outstanding, every
-	// row whose position is (re)assigned is recorded so restore can fix
-	// up exactly the rows the speculation touched instead of scanning all
-	// n, and the first time a row is repaired inside the window its
-	// pre-repair contents are journaled (one memcopy) so restore can swap
-	// them back instead of repairing in reverse — on tie-heavy hosts the
-	// reverse removal repair routinely blows its affected-set budget and
-	// would cost a fresh Dijkstra per speculative candidate. There is at
-	// most one window at a time: CostAfter never nests.
-	speculating bool
-	specRows    []int
-	specSaved   []rowJournal
-	rowPool     [][]float64 // spare row buffers recycled through the journal
-
 	// Dirty-block scratch for aggregate maintenance (see aggregate.go).
 	aggDirty     []int
 	aggDirtyFlag []bool
+
+	// CostAfter's scratch copy of the mover's row and its block sums.
+	specRow    []float64
+	specBlocks []float64
 
 	stats CacheStats
 }
@@ -144,16 +131,6 @@ type edgeDelta struct {
 	u, v int
 	w    float64
 	add  bool
-}
-
-// rowJournal is one row's pre-speculation state: the contents and
-// aggregate it had at position pos, saved before the speculation's first
-// repair touched it.
-type rowJournal struct {
-	i   int
-	pos uint64
-	row []float64
-	agg rowAgg
 }
 
 // maxPendingDeltas bounds the delta log. A row further behind than the
@@ -225,11 +202,11 @@ var repairBudget = graph.DefaultRepairBudget
 
 // pendingDiff collapses the logged deltas after position pos into the net
 // edge difference between the network at pos and the current network: a
-// pair flipped an even number of times cancels entirely (e.g. the
-// apply/undo pair of a speculative move), an odd number of times appears
-// once, on the side of its final flip. Order follows first appearance in
-// the log, keeping replay deterministic. Caller holds c.mu; pos must be
-// within the log's horizon (pos >= base).
+// pair flipped an even number of times cancels entirely (e.g. a move and
+// its exact undo), an odd number of times appears once, on the side of
+// its final flip. Order follows first appearance in the log, keeping
+// replay deterministic. Caller holds c.mu; pos must be within the log's
+// horizon (pos >= base).
 func (c *distCache) pendingDiff(pos uint64) (removed, added []graph.Edge) {
 	type flip struct {
 		e   graph.Edge
@@ -271,7 +248,6 @@ func (c *distCache) replayRowLocked(s *State, i int) bool {
 	removed, added := c.pendingDiff(c.rowPos[i])
 	if len(removed)+len(added) > 0 {
 		c.ownRowLocked(i)
-		c.journalRowLocked(i)
 		row := c.rows[i]
 		mark := c.beginAggMark()
 		if !s.net.RepairRowBatch(row, i, removed, added, repairBudget(len(c.rows)), mark) {
@@ -283,48 +259,8 @@ func (c *distCache) replayRowLocked(s *State, i int) bool {
 		c.stats.BatchRepairs++
 		c.finishAggUpdate(s, i, row)
 	}
-	c.setRowPosLocked(i, c.head)
+	c.rowPos[i] = c.head
 	return true
-}
-
-// journalRowLocked saves row i's current contents and aggregate the
-// first time a speculation window is about to repair it, so restore can
-// swap the pre-speculation state back in O(1).
-func (c *distCache) journalRowLocked(i int) {
-	if !c.speculating {
-		return
-	}
-	for _, j := range c.specSaved {
-		if j.i == i {
-			return // first save wins: it is the pre-window state
-		}
-	}
-	a := c.agg[i]
-	a.blocks = append([]float64(nil), a.blocks...)
-	buf := c.getRowBufLocked(len(c.rows[i]))
-	copy(buf, c.rows[i])
-	c.specSaved = append(c.specSaved, rowJournal{
-		i:   i,
-		pos: c.rowPos[i],
-		row: buf,
-		agg: a,
-	})
-}
-
-func (c *distCache) getRowBufLocked(n int) []float64 {
-	if k := len(c.rowPool); k > 0 {
-		buf := c.rowPool[k-1]
-		c.rowPool = c.rowPool[:k-1]
-		return buf[:n]
-	}
-	return make([]float64, n)
-}
-
-func (c *distCache) setRowPosLocked(i int, pos uint64) {
-	c.rowPos[i] = pos
-	if c.speculating {
-		c.specRows = append(c.specRows, i)
-	}
 }
 
 func (c *distCache) isBorrowed(i int) bool { return c.borrowed != nil && c.borrowed[i] }
@@ -339,9 +275,7 @@ func (c *distCache) ownRowLocked(i int) {
 	if c.cached >= c.cap {
 		c.evictOneLocked(i)
 	}
-	row := c.getRowBufLocked(len(c.rows[i]))
-	copy(row, c.rows[i])
-	c.rows[i] = row
+	c.rows[i] = append([]float64(nil), c.rows[i]...)
 	c.agg[i].blocks = append([]float64(nil), c.agg[i].blocks...)
 	c.borrowed[i] = false
 	c.cached++
@@ -370,7 +304,7 @@ func (c *distCache) insertRowLocked(s *State, i int, row []float64, pos uint64) 
 	}
 	c.rows[i] = row
 	c.agg[i] = buildRowAgg(s, i, row)
-	c.setRowPosLocked(i, pos)
+	c.rowPos[i] = pos
 }
 
 // evictOneLocked drops one cached private row (never keep; dropping a
@@ -399,100 +333,32 @@ func (c *distCache) evictOneLocked(keep int) {
 	}
 }
 
-// snapshot opens the speculation window and returns the current head
-// position for the matching restore. Windows do not nest.
-func (c *distCache) snapshot() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.speculating {
-		panic("game: nested distance-cache snapshot")
-	}
-	c.speculating = true
-	return c.head
-}
-
-// restore declares the network identical to what it was at snapshot time
-// (the caller has exactly undone its speculative mutation). Rows that
-// were current at the snapshot were never touched and stay valid for
-// free. Rows read or computed during the speculation are batch-repaired
-// across whatever deltas still separate them from the current network —
-// for the apply/undo pair of a single speculative move the net diff is
-// empty, so the repair is a free re-stamp — and land back on the
-// snapshot position. The speculative log suffix is then dropped and the
-// head rewound, so speculation leaves no trace in the log.
-func (c *distCache) restore(s *State, snap uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// Close the window first, so the repairs below are neither journaled
-	// nor recorded.
-	c.speculating = false
-	// Journaled rows swap their pre-speculation contents back: O(1), no
-	// reverse repair. (A journal can carry a mid-window position if the
-	// row was first re-stamped across an empty diff; those fall through
-	// to the generic replay below.)
-	for _, j := range c.specSaved {
-		if j.pos > snap {
-			c.rowPool = append(c.rowPool, j.row)
-			continue
-		}
-		if old := c.rows[j.i]; old == nil {
-			c.cached++ // resurrecting a row the window dropped
-		} else {
-			c.rowPool = append(c.rowPool, old)
-		}
-		c.rows[j.i] = j.row
-		c.agg[j.i] = j.agg
-		c.rowPos[j.i] = j.pos
-	}
-	c.specSaved = c.specSaved[:0]
-	for _, i := range c.specRows {
-		if c.rows[i] == nil || c.rowPos[i] <= snap {
-			continue
-		}
-		if c.rowPos[i] < c.head {
-			// A row stranded mid-speculation without a journal: bring it
-			// to the current (= snapshot) network by the same batch
-			// repair its next read would have run, before the speculative
-			// deltas are dropped. A refusal drops the row, losing only
-			// warmth.
-			if c.rowPos[i] < c.base || !c.replayRowLocked(s, i) {
-				c.dropRowLocked(i)
-				continue
-			}
-		}
-		if c.rowPos[i] == c.head {
-			c.rowPos[i] = snap
-		}
-	}
-	// Drop the speculative log suffix and rewind.
-	if snap >= c.base {
-		c.log = c.log[:snap-c.base]
-	} else {
-		c.log = c.log[:0]
-		c.base = snap
-	}
-	c.head = snap
-	c.specRows = c.specRows[:0]
-}
-
 // Dist returns shortest-path distances from src in G(s), memoized until
 // the network next changes. Callers must not mutate the returned slice
 // and must not retain it across a state mutation: stale rows are
 // batch-repaired in place on read, so the slice's contents track the
 // current network, not the network at call time.
-func (s *State) Dist(src int) []float64 {
+func (s *State) Dist(src int) []float64 { return s.dist(src, true) }
+
+// dist is Dist with the hit count optional: speculativeDistCost reads
+// the mover's row only to repair a copy, and counts its own answer.
+func (s *State) dist(src int, countHit bool) []float64 {
 	c := s.cache
 	c.mu.Lock()
 	if row := c.rows[src]; row != nil {
 		if c.rowPos[src] == c.head {
-			c.stats.Hits++
+			if countHit {
+				c.stats.Hits++
+			}
 			c.mu.Unlock()
 			return row
 		}
 		if c.rowPos[src] >= c.base {
 			if c.replayRowLocked(s, src) {
 				row = c.rows[src]
-				c.stats.Hits++
+				if countHit {
+					c.stats.Hits++
+				}
 				c.mu.Unlock()
 				return row
 			}
@@ -513,4 +379,52 @@ func (s *State) Dist(src int) []float64 {
 	}
 	c.mu.Unlock()
 	return row
+}
+
+// speculativeDistCost returns DistCost(u) on the network with flips
+// applied, without writing the cache. It brings u's row current through
+// the read path, applies the flips to the network without logging them,
+// repairs a scratch copy of the row and its block sums across them and
+// refolds the dirty blocks, then undoes the flips in reverse order. A
+// repair refusal folds a fresh Dijkstra of the flipped network instead,
+// which is not cached. Either way the answer counts one cache event of
+// its own: a hit and a batch repair, or a refusal and a miss. Like every
+// mutation, it must not run concurrently with other uses of s.
+func (s *State) speculativeDistCost(u int, flips []edgeFlip) float64 {
+	c := s.cache
+	row := s.dist(u, false)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.specRow = append(c.specRow[:0], row...)
+	c.specBlocks = append(c.specBlocks[:0], c.aggLocked(s, u).blocks...)
+	removed, added := make([]graph.Edge, 0, 2), make([]graph.Edge, 0, 2) // a move flips at most two edges
+	for _, f := range flips {
+		e := graph.Edge{U: u, V: f.v, W: f.w}
+		if f.add {
+			s.net.AddEdge(u, f.v, f.w)
+			added = append(added, e)
+		} else {
+			s.net.RemoveEdge(u, f.v)
+			removed = append(removed, e)
+		}
+	}
+	var total float64
+	if s.net.RepairRowBatch(c.specRow, u, removed, added, repairBudget(len(c.rows)), c.beginAggMark()) {
+		c.stats.Hits++
+		c.stats.BatchRepairs++
+		total = c.refoldLocked(s, u, c.specRow, c.specBlocks)
+	} else {
+		c.clearAggScratch()
+		c.stats.RepairRefusals++
+		c.stats.Misses++
+		total = s.foldDistCost(u, s.net.Dijkstra(u))
+	}
+	for i := len(flips) - 1; i >= 0; i-- {
+		if f := flips[i]; f.add {
+			s.net.RemoveEdge(u, f.v)
+		} else {
+			s.net.AddEdge(u, f.v, f.w)
+		}
+	}
+	return total
 }

@@ -1,8 +1,10 @@
 package game
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"gncg/internal/bitset"
@@ -124,11 +126,10 @@ func TestDistCacheMatchesFreshRecomputation(t *testing.T) {
 	}
 }
 
-// TestNestedSnapshotPanics: the cache keeps one speculation window, so a
-// second snapshot before the matching restore must fail loudly instead of
-// corrupting the first window's journal. A malformed move must panic
-// before CostAfter opens the window, leaving the cache usable.
-func TestNestedSnapshotPanics(t *testing.T) {
+// TestCostAfterMalformedMovePanics: a malformed move must panic before
+// CostAfter touches the profile, the network or the cache, leaving the
+// state usable.
+func TestCostAfterMalformedMovePanics(t *testing.T) {
 	n := 5
 	s := NewState(New(randCacheHost(rand.New(rand.NewSource(3)), n), 1), StarProfile(n, 0))
 	func() {
@@ -139,16 +140,6 @@ func TestNestedSnapshotPanics(t *testing.T) {
 		}()
 		s.CostAfter(Move{Agent: 1, Kind: Delete, V: 2})
 	}()
-	snap := s.cache.snapshot()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("nested snapshot did not panic")
-			}
-		}()
-		s.cache.snapshot()
-	}()
-	s.cache.restore(s, snap)
 	_ = s.CostAfter(Move{Agent: 1, Kind: Buy, V: 2})
 	assertMatchesFresh(t, s, 0)
 }
@@ -173,4 +164,129 @@ func TestDistCacheConcurrentReads(t *testing.T) {
 			}
 		}
 	}
+}
+
+// cacheLayout is what CostAfter must leave exactly as it found it when
+// the mover's row is current: the log positions, every row slice (by
+// identity) and the checksum of its position, contents and aggregate,
+// the borrowed flags and the private row count.
+type cacheLayout struct {
+	head, base     uint64
+	logLen, cached int
+	rows           []*float64
+	sums           []uint64
+	borrowed       []bool
+}
+
+func layoutOf(s *State) cacheLayout {
+	sums := cacheChecksums(s)
+	c := s.cache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	l := cacheLayout{head: c.head, base: c.base, logLen: len(c.log), cached: c.cached, sums: sums,
+		borrowed: append([]bool(nil), c.borrowed...)}
+	for _, row := range c.rows {
+		var p *float64
+		if len(row) > 0 {
+			p = &row[0]
+		}
+		l.rows = append(l.rows, p)
+	}
+	return l
+}
+
+// TestCostAfterLeavesCacheUntouched: CostAfter never writes the distance
+// cache. On a plain state and on a fork worker whose rows are borrowed,
+// a buy, a delete and a swap of every agent evaluate bit-equal to a
+// fresh state with the move applied, whether the mover's row is
+// current, stale or cold, and also when every removal repair is forced
+// over budget. On a current row the cache's layout is identical before
+// and after. Not parallel: it swaps the package-level budget hook.
+func TestCostAfterLeavesCacheUntouched(t *testing.T) {
+	orig := repairBudget
+	defer func() { repairBudget = orig }()
+	const n = 9
+	for _, refuse := range []bool{false, true} {
+		repairBudget = orig
+		if refuse {
+			repairBudget = func(int) int { return 1 }
+		}
+		var refusals uint64
+		for _, forked := range []bool{false, true} {
+			for _, flavor := range repairFlavors {
+				rng := rand.New(rand.NewSource(41))
+				g := New(repairHost(t, rng, n, flavor), 0.4+2*rng.Float64())
+				for pi, p := range []Profile{PathProfile(n, rng.Perm(n)), randProfile(rng, n, 0.2)} {
+					for u := 0; u < n; u++ {
+						for _, m := range firstMoveOfEachKind(NewState(g, p.Clone()).CandidateMoves(u)) {
+							for _, rows := range []string{"current", "stale", "cold"} {
+								ctx := fmt.Sprintf("refuse=%v forked=%v %s profile %d %v, %s row", refuse, forked, flavor, pi, m, rows)
+								s, other := costAfterSetup(g, p, u, rows, forked)
+								ref := NewState(g, s.P.Clone())
+								ref.Apply(m)
+								want := uncachedCost(ref, u)
+								before := layoutOf(s)
+								st := s.CacheStats()
+								if got := s.CostAfter(m); math.Float64bits(got) != math.Float64bits(want) {
+									t.Fatalf("%s: CostAfter = %v, fresh state with the move = %v", ctx, got, want)
+								}
+								refusals += s.CacheStats().RepairRefusals - st.RepairRefusals
+								if rows == "current" && !reflect.DeepEqual(layoutOf(s), before) {
+									t.Fatalf("%s: CostAfter changed the cache layout", ctx)
+								}
+								assertCostsBitEqualUncached(t, s, ctx, 0)
+								if other != nil {
+									other.Join()
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+		if refuse && refusals == 0 {
+			t.Fatal("no repair was refused under budget 1; the refusal case is vacuous")
+		}
+	}
+}
+
+// firstMoveOfEachKind returns the first buy, delete and swap of moves.
+func firstMoveOfEachKind(moves []Move) []Move {
+	var out []Move
+	seen := map[MoveKind]bool{}
+	for _, m := range moves {
+		if !seen[m.Kind] {
+			seen[m.Kind] = true
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// costAfterSetup returns a state on profile p where agent u's row is
+// current, stale (cached, then an edge of another agent flipped) or
+// cold, and the fork it is a worker of (nil for a plain state). A
+// forked state is worker 0 of a two-worker fork over a parent that
+// holds the rows, so they are borrowed.
+func costAfterSetup(g *Game, p Profile, u int, rows string, forked bool) (*State, *Fork) {
+	s := NewState(g, p.Clone())
+	if rows != "cold" {
+		s.SocialCost()
+	}
+	var f *Fork
+	commit := s.SetStrategy
+	if forked {
+		f = s.Fork(2)
+		s, commit = f.Worker(0), f.SetStrategy
+	}
+	if rows == "stale" {
+		w := (u + 1) % g.N()
+		for x := 0; x < g.N(); x++ {
+			if x != w && !s.Network().HasEdge(w, x) {
+				commit(w, Move{Agent: w, Kind: Buy, V: x}.NewStrategy(s.P.S[w]))
+				break
+			}
+		}
+	}
+	return s, f
 }

@@ -93,20 +93,24 @@ func (s *State) Apply(m Move) {
 	s.SetStrategy(m.Agent, m.NewStrategy(s.P.S[m.Agent]))
 }
 
-// CostAfter evaluates the mover's cost after the move without leaving the
-// state mutated. The speculative mutation is exactly undone, so distances
-// cached before the call are revalidated afterwards (cache.restore) and
-// surrounding scans pay only for the speculative network itself. A
-// malformed move panics before the speculation window opens.
+// CostAfter evaluates the mover's cost after the move without changing
+// the state. It never writes the distance cache: the mover's distance
+// cost comes from a scratch repair of its current row across the move's
+// edge flips (speculativeDistCost), so every row current before the call
+// is current, and bit for bit the same, after it. A malformed move
+// panics before anything is touched.
 func (s *State) CostAfter(m Move) float64 {
-	old := s.P.S[m.Agent]
+	u := m.Agent
+	old := s.P.S[u]
 	next := m.NewStrategy(old)
-	snap := s.cache.snapshot()
-	s.SetStrategy(m.Agent, next)
-	c := s.Cost(m.Agent)
-	s.SetStrategy(m.Agent, old)
-	s.cache.restore(s, snap)
-	return c
+	flips := s.strategyFlips(u, old, next)
+	s.P.S[u] = next
+	edge := s.EdgeCost(u)
+	s.P.S[u] = old
+	if len(flips) == 0 {
+		return edge + s.DistCost(u) // ownership only: every distance is intact
+	}
+	return edge + s.speculativeDistCost(u, flips)
 }
 
 // CandidateMoves enumerates every legal single-edge move for agent u in

@@ -167,9 +167,9 @@ func TestRepairedRowsBitEqualFreshDijkstra(t *testing.T) {
 }
 
 // TestRepairBudgetFallbackPath forces every removal repair over budget,
-// so the cache's fallback branch — rows dropped to a dead stamp, lazy
-// recomputation, and restore()'s handling of rows stranded on
-// intermediate versions mid-speculation — actually executes. The default
+// so the cache's fallback branches — rows dropped to a dead stamp, lazy
+// recomputation, and CostAfter's fresh Dijkstra of the speculative
+// network — actually execute. The default
 // budget (16 + n/4) can never be exceeded on the corpus's small graphs,
 // which would otherwise leave this interplay untested. Deliberately not
 // parallel: it swaps the package-level budget hook.
@@ -279,8 +279,8 @@ func TestSetStrategyTouchesOnlyDiff(t *testing.T) {
 	}
 	s.touched = 0
 	_ = s.CostAfter(Move{Agent: 12, Kind: Buy, V: 77})
-	if s.touched != 2 { // one flip forward, one flip back
-		t.Fatalf("speculative buy touched %d vertices, want 2", s.touched)
+	if s.touched != 1 { // one diff walk; the undo replays its flips
+		t.Fatalf("speculative buy touched %d vertices, want 1", s.touched)
 	}
 }
 

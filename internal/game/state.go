@@ -96,23 +96,9 @@ type edgeFlip struct {
 // via in-place shortest-path repair; larger changes, and pure ownership
 // changes of zero edges, invalidate (respectively keep) them as before.
 func (s *State) SetStrategy(u int, strat bitset.Set) {
-	old := s.P.S[u]
 	next := strat.Clone()
+	flips := s.strategyFlips(u, s.P.S[u], next)
 	s.P.S[u] = next
-	var flips []edgeFlip
-	old.ForEachSymDiff(next, func(v int) {
-		s.touched++
-		if v == u {
-			return
-		}
-		want := next.Has(v) || s.P.S[v].Has(u)
-		switch has := s.net.HasEdge(u, v); {
-		case want && !has:
-			flips = append(flips, edgeFlip{v, true, s.hostWeight(u, v)})
-		case !want && has:
-			flips = append(flips, edgeFlip{v, false, s.net.EdgeWeight(u, v)})
-		}
-	})
 	switch {
 	case len(flips) == 0:
 		// Pure ownership change: every distance is intact.
@@ -135,6 +121,30 @@ func (s *State) SetStrategy(u int, strat bitset.Set) {
 		}
 		s.cache.bump()
 	}
+}
+
+// strategyFlips returns the network edges that replacing agent u's
+// strategy old by next toggles, in ascending order of the other
+// endpoint: only pairs in the symmetric difference of the two bitsets
+// are examined, and a pair flips only if the other endpoint does not
+// own it too. It is the one definition of a strategy change's edge
+// work, shared by SetStrategy and CostAfter.
+func (s *State) strategyFlips(u int, old, next bitset.Set) []edgeFlip {
+	var flips []edgeFlip
+	old.ForEachSymDiff(next, func(v int) {
+		s.touched++
+		if v == u {
+			return
+		}
+		want := next.Has(v) || s.P.S[v].Has(u)
+		switch has := s.net.HasEdge(u, v); {
+		case want && !has:
+			flips = append(flips, edgeFlip{v, true, s.hostWeight(u, v)})
+		case !want && has:
+			flips = append(flips, edgeFlip{v, false, s.net.EdgeWeight(u, v)})
+		}
+	})
+	return flips
 }
 
 // EdgeCost returns what agent u pays for its purchases under the game's

@@ -9,7 +9,8 @@ import (
 // deterministic single-threaded query sequence: misses on cold rows,
 // O(1) hits on warm aggregates and warm rows, and batch repairs across
 // applied moves — the events the equilibrium sweep's churn probe
-// records.
+// records — and the one event a CostAfter adds. Not parallel: it swaps
+// the package-level budget hook.
 func TestCacheStatsCounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	n := 8
@@ -44,6 +45,30 @@ func TestCacheStatsCounting(t *testing.T) {
 	}
 	if st.Capacity != n {
 		t.Fatalf("capacity = %d, want %d", st.Capacity, n)
+	}
+	// CostAfter on a current row repairs a scratch copy of it: one hit
+	// and one batch repair.
+	s.CostAfter(Move{Agent: 3, Kind: Buy, V: 5})
+	want := st
+	want.Hits++
+	want.BatchRepairs++
+	if st = s.CacheStats(); st != want {
+		t.Fatalf("CostAfter on a current row: %+v, want %+v", st, want)
+	}
+	// A refused repair is one refusal and one miss (a fresh Dijkstra of
+	// the speculative network), and no hit: deleting the first edge of a
+	// path cuts off every other vertex, far over a budget of 1.
+	orig := repairBudget
+	repairBudget = func(int) int { return 1 }
+	defer func() { repairBudget = orig }()
+	path := NewState(g, PathProfile(n, []int{0, 1, 2, 3, 4, 5, 6, 7}))
+	path.DistCost(0)
+	want = path.CacheStats()
+	path.CostAfter(Move{Agent: 0, Kind: Delete, V: 1})
+	want.RepairRefusals++
+	want.Misses++
+	if st = path.CacheStats(); st != want {
+		t.Fatalf("CostAfter with a refused repair: %+v, want %+v", st, want)
 	}
 	// Clones start with fresh counters: probes on a clone are isolated
 	// from (and do not disturb) the original's numbers.

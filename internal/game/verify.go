@@ -167,11 +167,10 @@ type agentVerdict struct {
 // Verification leaves s as it found it: the profile, the network and
 // every row the state holds stay bit for bit. Each worker checks agents
 // taken from a shared counter against its own worker state, whose
-// speculative distance cache (CostAfter's snapshot/rewind contract) is
-// reused across all its agents, and whose rows start out borrowed from
-// s: rows the dynamics just left current are read, not recomputed. Join
-// then hands s the rows the workers computed and their cache counters.
-// Per-agent
+// distance cache is reused across all its agents (CostAfter never
+// writes it), and whose rows start out borrowed from s: rows the
+// dynamics just left current are read, not recomputed. Join then hands
+// s the rows the workers computed and their cache counters. Per-agent
 // verdicts depend only on the frozen state, never on worker count or
 // scheduling, and fold into the result in fixed agent order — so the
 // returned VerifyResult is identical for any Workers setting, which is

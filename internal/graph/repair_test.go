@@ -295,3 +295,85 @@ func TestRepairRowBatchBudgetRefusalUntouched(t *testing.T) {
 	}
 	rowsEqualBitwise(t, dist, g.Dijkstra(0), "after batch retry with larger budget")
 }
+
+// repairWeights is RepairRowBatch's fuzz weight palette: zeros of both
+// signs, ulp-level ties (1 ± 1 ulp, 0.1 + 0.2 against 0.3) and +Inf.
+var repairWeights = [9]float64{
+	0, math.Copysign(0, -1), 1, math.Nextafter(1, 2), math.Nextafter(1, 0),
+	0.1, 0.2, 0.3, math.Inf(1),
+}
+
+// repairCaseFromBytes decodes a fuzz input into a graph on at most 24
+// vertices, a source, a budget and a net diff in the form the game's
+// delta log hands RepairRowBatch: removed edges are present with their
+// recorded weights, added pairs are absent, and no pair is on both
+// sides. An exhausted input reads as zeros.
+func repairCaseFromBytes(data []byte) (g *Graph, src, budget int, removed, added []Edge) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	n := 1 + next()%24
+	g = New(n)
+	for k := next(); k > 0; k-- {
+		if u, v := next()%n, next()%n; u != v {
+			g.AddEdge(u, v, repairWeights[next()%len(repairWeights)])
+		}
+	}
+	src, budget = next()%n, next()
+	edges := g.Edges()
+	for k := next() % 4; k > 0 && len(edges) > 0; k-- {
+		i := next() % len(edges)
+		removed = append(removed, edges[i])
+		edges = append(edges[:i], edges[i+1:]...)
+	}
+	for k := next() % 4; k > 0; k-- {
+		u, v, w := next()%n, next()%n, repairWeights[next()%len(repairWeights)]
+		if u == v || g.HasEdge(u, v) {
+			continue
+		}
+		dup := false
+		for _, e := range added {
+			dup = dup || pairKey(e.U, e.V) == pairKey(u, v)
+		}
+		if !dup {
+			added = append(added, Edge{U: u, V: v, W: w})
+		}
+	}
+	return g, src, budget, removed, added
+}
+
+// FuzzRepairRowBatch pins RepairRowBatch to the heap loop: a row of the
+// graph before the diff, repaired across it, is bit for bit the heap
+// loop's row of the graph after it; every entry whose bits changed was
+// passed to mark (the game's aggregate maintenance refolds only marked
+// blocks); and a refusal over budget leaves the row untouched.
+func FuzzRepairRowBatch(f *testing.F) {
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, src, budget, removed, added := repairCaseFromBytes(data)
+		before := refRow(g, src, -1)
+		for _, e := range removed {
+			g.RemoveEdge(e.U, e.V)
+		}
+		for _, e := range added {
+			g.AddEdge(e.U, e.V, e.W)
+		}
+		dist := append([]float64(nil), before...)
+		marked := make([]bool, len(dist))
+		if !g.RepairRowBatch(dist, src, removed, added, budget, func(x int) { marked[x] = true }) {
+			rowsIdentical(t, dist, before, "refused repair")
+			return
+		}
+		rowsIdentical(t, dist, refRow(g, src, -1), "RepairRowBatch")
+		for v := range dist {
+			if math.Float64bits(dist[v]) != math.Float64bits(before[v]) && !marked[v] {
+				t.Fatalf("dist[%d] changed from %v to %v without a mark", v, before[v], dist[v])
+			}
+		}
+	})
+}
