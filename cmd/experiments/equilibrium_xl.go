@@ -42,19 +42,6 @@ const (
 	xlSampleHuge = 16
 )
 
-// xlVerifyWorkers caps verification parallelism by footprint: each
-// verify worker clones the state, and a clone's profile bitsets alone
-// are n²/8 bytes — 1.25 GB at n = 10⁵ — so the largest rungs bound the
-// clone count instead of taking a worker per core. Verdicts are
-// worker-count-invariant by the verifier's contract; only wall time and
-// memory change.
-func xlVerifyWorkers(n int) int {
-	if n > xlSampleCut {
-		return 4
-	}
-	return 0 // GOMAXPROCS
-}
-
 func registerEquilibriumXL() {
 	sweep.Register(sweep.Experiment{
 		Name: "equilibrium_xl", Title: "Scale: greedy dynamics at n = 10⁵ — geometric candidate generation ladder",
@@ -117,7 +104,7 @@ func registerEquilibriumXL() {
 			scan := s.ScanStats()
 
 			verification, haveVerification := dynamics.VerifyConvergence(
-				res, s, game.VerifyOptions{Workers: xlVerifyWorkers(n)})
+				res, s, game.VerifyOptions{})
 			certified := "-"
 			if haveVerification {
 				certified = report.Check(verification.Stable)

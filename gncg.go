@@ -65,7 +65,9 @@ type (
 	ModelClass = metric.Class
 	// Rules is a pluggable cost model: the edge-cost, distance-cost and
 	// feasibility hooks that turn the one engine into the whole NCG
-	// family. Games default to the paper's sum-distance model.
+	// family. Its methods price and admit strategies handed to them
+	// (StrategyCost(g, u, strat), MoveFeasible(g, cur, m)), never a
+	// State. Games default to the paper's sum-distance model.
 	Rules = game.Rules
 )
 

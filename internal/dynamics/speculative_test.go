@@ -13,6 +13,7 @@ import (
 	"gncg/internal/gen"
 	"gncg/internal/graph"
 	"gncg/internal/metric"
+	"gncg/internal/rules"
 )
 
 // serialActivate is the activation loop as it ran before rounds were
@@ -212,14 +213,18 @@ var fuzzCoords = []float64{0, 0, 0.1, 0.2, 0.3, 1, 1 + 0x1p-40, 2, 3, 7.25}
 // vertex (a tree vertex's parent and edge weight, unused for the root,
 // or a point's two coordinates), then one bit per ordered agent pair that toggles that
 // purchase; missing bytes read as zero. alpha is folded into
-// [0, 16n+1), budget 0 is unlimited, and procs picks GOMAXPROCS in
-// [1, 8].
+// [0, 16n+1), budget 0 is unlimited, procs' low three bits pick
+// GOMAXPROCS in [1, 8], and its high bits (procs>>3) the cost model:
+// sum, budget (alpha is then each agent's budget, and the feasibility
+// predicate reads the workers' shared profile) or unit.
 //
 //	go test -run '^$' -fuzz FuzzSpeculativeRound -fuzztime 30s ./internal/dynamics/
 func FuzzSpeculativeRound(f *testing.F) {
 	f.Add([]byte{0x51, 0, 3, 1, 4, 0, 2, 2, 5, 1, 6}, 4.0, uint8(0), uint8(1))
 	f.Add([]byte{0x62, 1, 1, 2, 2, 3, 3, 0, 6, 5, 0, 9, 9, 0x24, 0x81}, 10.0, uint8(5), uint8(2))
 	f.Add([]byte{0x7f, 0, 0, 0, 2, 1, 3, 2, 4, 3, 5, 0xff, 0x0f}, 200.0, uint8(11), uint8(7))
+	f.Add([]byte{0x33, 0, 0, 0, 2, 1, 3, 2, 4, 3, 5, 0, 6, 1, 7}, 6.0, uint8(0), uint8(1<<3|1))
+	f.Add([]byte{0x48, 1, 2, 3, 1, 5, 0, 2, 8, 9, 4, 0, 3, 7, 2, 6, 1, 0x11, 0x42}, 1.5, uint8(0), uint8(2<<3|2))
 	f.Fuzz(func(t *testing.T, data []byte, alpha float64, budget, procs uint8) {
 		read := func() byte {
 			if len(data) == 0 {
@@ -292,8 +297,10 @@ func FuzzSpeculativeRound(f *testing.F) {
 		if hdr&4 != 0 {
 			sched = func() Scheduler { return RandomOrder{Rng: rand.New(rand.NewSource(int64(hdr)))} }
 		}
-		c := specCase{g: game.New(game.NewHost(sp), alpha), start: start, mover: GreedyMover, sched: sched, budget: int(budget % 24)}
-		checkSpeculative(t, fmt.Sprintf("n=%d alpha=%v hdr=%#x budget=%d", n, alpha, hdr, c.budget), c, []int{1 + int(procs)%8})
+		models := []game.Rules{game.SumRules{}, rules.Budget{}, rules.Unit{}}
+		g := game.NewWithRules(game.NewHost(sp), alpha, models[int(procs>>3)%len(models)])
+		c := specCase{g: g, start: start, mover: GreedyMover, sched: sched, budget: int(budget % 24)}
+		checkSpeculative(t, fmt.Sprintf("n=%d %s alpha=%v hdr=%#x budget=%d", n, g.Rules().Name(), alpha, hdr, c.budget), c, []int{1 + int(procs)%8})
 	})
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"gncg/internal/bitset"
+	"gncg/internal/gen"
 	"gncg/internal/metric"
 	"gncg/internal/parallel"
 )
@@ -247,6 +248,20 @@ func TestCostAfterLeavesCacheUntouched(t *testing.T) {
 		if refuse && refusals == 0 {
 			t.Fatal("no repair was refused under budget 1; the refusal case is vacuous")
 		}
+	}
+}
+
+// TestCostAfterAllocatesOnlyTheStrategy: on a current row, a buy's
+// CostAfter allocates once, for the Move.NewStrategy clone; the edge
+// flips, the scratch row and its blocks live in buffers the state and
+// its cache reuse.
+func TestCostAfterAllocatesOnlyTheStrategy(t *testing.T) {
+	const n = 300
+	s := NewState(New(NewHost(gen.Tree(8, n, 1, 6)), n), StarProfile(n, 0))
+	m := Move{Agent: 5, Kind: Buy, V: 7}
+	s.Dist(m.Agent)
+	if allocs := testing.AllocsPerRun(100, func() { s.CostAfter(m) }); allocs != 1 {
+		t.Fatalf("CostAfter(%v) allocated %v times per run, want 1", m, allocs)
 	}
 }
 

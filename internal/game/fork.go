@@ -10,19 +10,21 @@ import (
 // speculative activation rounds of package dynamics and
 // VerifyGreedyEquilibrium alike.
 //
-// Each worker owns a copy of the parent's profile and network and a
-// distance cache that borrows every row of the parent's cache instead of
-// copying it: rows the parent already holds cost a worker nothing until
-// the worker repairs one, which copies that row first. The parent's row
-// budget (rowCacheCap) is split across the workers, so their private
-// rows together never exceed what the parent alone may hold.
+// Every worker shares the parent's profile: evaluation never writes a
+// profile (CostAfter prices the new strategy directly), so one copy
+// serves them all. Each worker owns a copy of the network, which
+// CostAfter flips edges on, and a distance cache that borrows every row
+// of the parent's cache instead of copying it: rows the parent already
+// holds cost a worker nothing until the worker repairs one, which copies
+// that row first. The parent's row budget (rowCacheCap) is split across
+// the workers, so their private rows together never exceed what the
+// parent alone may hold.
 //
 // Until Join, the parent must not be read or mutated except through the
-// fork (its rows are shared with the workers), and each worker is used
-// by one goroutine at a time. Committed moves go through SetStrategy,
-// which keeps the parent and every worker on the same profile; the
-// parent's own rows stay untouched until Join hands it the workers'
-// current rows.
+// fork (its profile and rows are shared with the workers), and each
+// worker is used by one goroutine at a time. Committed moves go through
+// SetStrategy, between rounds of worker calls; the parent's own rows
+// stay untouched until Join hands it the workers' current rows.
 type Fork struct {
 	parent  *State
 	workers []*State
@@ -37,7 +39,7 @@ func (s *State) Fork(workers int) *Fork {
 	workers = max(1, min(workers, s.G.N(), c.cap))
 	f := &Fork{parent: s, workers: make([]*State, workers)}
 	for w := range f.workers {
-		f.workers[w] = &State{G: s.G, P: s.P.Clone(), net: s.net.Clone(), cache: c.borrowLocked(c.cap / workers)}
+		f.workers[w] = &State{G: s.G, P: s.P, net: s.net.Clone(), cache: c.borrowLocked(c.cap / workers)}
 	}
 	return f
 }
@@ -76,13 +78,14 @@ func (f *Fork) Each(fn func(w int, ws *State)) {
 	parallel.ForWorkers(len(f.workers), len(f.workers), func(w int) { fn(w, f.workers[w]) })
 }
 
-// SetStrategy commits agent u's new strategy to the parent and to every
-// worker. It costs one State.SetStrategy per worker on top of the
-// parent's: the fork's synchronization cost per committed move.
+// SetStrategy commits agent u's new strategy to the shared profile once,
+// through the parent, and replays the parent's edge flips on every
+// worker's network and cache: one strategy clone per committed move,
+// whatever the worker count. It must not run concurrently with Each.
 func (f *Fork) SetStrategy(u int, strat bitset.Set) {
 	f.parent.SetStrategy(u, strat)
 	for _, ws := range f.workers {
-		ws.SetStrategy(u, strat)
+		ws.applyFlips(u, f.parent.flips)
 	}
 }
 

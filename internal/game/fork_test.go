@@ -3,7 +3,12 @@ package game
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sort"
 	"testing"
+
+	"gncg/internal/gen"
+	"gncg/internal/graph"
 )
 
 // TestForkWorkerCapsSplitParentCap: a fork's workers hold at most the
@@ -88,4 +93,52 @@ func TestForkRowsStayExact(t *testing.T) {
 		f.Join()
 		assertCostsBitEqualUncached(t, s, flavor, -1)
 	}
+}
+
+// TestForkSharesProfile pins the fork's memory contract: workers share
+// the parent's profile instead of copying it, so Fork(2) on an n = 8192
+// star allocates less than one dense profile (n·⌈n/64⌉ words), commits
+// through the fork leave every worker's network equal to the parent's,
+// and worker evaluations leave the shared profile bit-identical.
+func TestForkSharesProfile(t *testing.T) {
+	const n = 8192
+	s := NewState(New(NewHost(gen.Points(3, n, 2, 1000, 2)), 2*n), StarProfile(n, 0))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f := s.Fork(2)
+	runtime.ReadMemStats(&after)
+	if got, dense := after.TotalAlloc-before.TotalAlloc, uint64(n*((n+63)/64)*8); got >= dense {
+		t.Fatalf("Fork(2) allocated %d bytes, want below one dense profile (%d bytes)", got, dense)
+	}
+	sortedEdges := func(g *graph.Graph) []graph.Edge {
+		es := g.Edges()
+		sort.Slice(es, func(i, j int) bool { return es[i].U < es[j].U || es[i].U == es[j].U && es[i].V < es[j].V })
+		return es
+	}
+	for _, m := range []Move{
+		{Agent: 5, Kind: Buy, V: 7},
+		{Agent: 0, Kind: Delete, V: 9},
+		{Agent: 0, Kind: Swap, V: 11, X: 9},
+		{Agent: 3, Kind: Buy, V: 0}, // ownership only: the edge exists
+	} {
+		f.SetStrategy(m.Agent, m.NewStrategy(s.P.S[m.Agent]))
+		want := sortedEdges(s.Network())
+		for w := 0; w < f.Size(); w++ {
+			if got := sortedEdges(f.Worker(w).Network()); !reflect.DeepEqual(got, want) {
+				t.Fatalf("after %v: worker %d has %d edges, the parent %d (or they differ)", m, w, len(got), len(want))
+			}
+		}
+	}
+	snapshot := s.P.Clone()
+	f.Each(func(w int, ws *State) {
+		for _, m := range []Move{{Agent: 5 + w, Kind: Buy, V: 40}, {Agent: 0, Kind: Delete, V: 20 + w}, {Agent: 5, Kind: Swap, V: 7, X: 30 + w}} {
+			ws.CostAfter(m)
+		}
+	})
+	for u := range n {
+		if !s.P.S[u].Equal(snapshot.S[u]) {
+			t.Fatalf("worker CostAfter changed agent %d's shared strategy", u)
+		}
+	}
+	f.Join()
 }

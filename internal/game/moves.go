@@ -94,19 +94,17 @@ func (s *State) Apply(m Move) {
 }
 
 // CostAfter evaluates the mover's cost after the move without changing
-// the state. It never writes the distance cache: the mover's distance
+// the state. It prices the new strategy directly, so it never writes the
+// profile, and it never writes the distance cache: the mover's distance
 // cost comes from a scratch repair of its current row across the move's
 // edge flips (speculativeDistCost), so every row current before the call
 // is current, and bit for bit the same, after it. A malformed move
 // panics before anything is touched.
 func (s *State) CostAfter(m Move) float64 {
 	u := m.Agent
-	old := s.P.S[u]
-	next := m.NewStrategy(old)
-	flips := s.strategyFlips(u, old, next)
-	s.P.S[u] = next
-	edge := s.EdgeCost(u)
-	s.P.S[u] = old
+	next := m.NewStrategy(s.P.S[u])
+	flips := s.strategyFlips(u, s.P.S[u], next)
+	edge := s.G.Rules().StrategyCost(s.G, u, next)
 	if len(flips) == 0 {
 		return edge + s.DistCost(u) // ownership only: every distance is intact
 	}
@@ -124,7 +122,7 @@ func (s *State) CandidateMoves(u int) []Move {
 	r := s.G.Rules()
 	var moves []Move
 	add := func(m Move) {
-		if r.MoveFeasible(s, m) {
+		if r.MoveFeasible(s.G, owned, m) {
 			moves = append(moves, m)
 		}
 	}
@@ -223,7 +221,7 @@ func (s *State) scanMoves(u int, cur float64, pb *moveBounds, targets []int) (be
 	owned := s.P.S[u]
 	r := s.G.Rules()
 	consider := func(m Move) {
-		if !r.MoveFeasible(s, m) {
+		if !r.MoveFeasible(s.G, owned, m) {
 			return
 		}
 		if c := s.CostAfter(m); c < cost {
@@ -308,7 +306,7 @@ func (s *State) scanMoves(u int, cur float64, pb *moveBounds, targets []int) (be
 // oracle. Edge prices and refunds go through Rules.AcquirePrice, so the
 // bounds stay sound under any model that declares them applicable.
 type moveBounds struct {
-	duv   []float64 // private copy of u's distance row (repair-safe)
+	duv   []float64 // u's distance row
 	pairs []distDemand
 	ds    []float64 // positive-traffic distances, ascending (lazy: ensureSorted)
 	// sorted reports whether ds, std and st hold this scan's arrays; the
@@ -349,7 +347,7 @@ func (s *State) newMoveBounds(u int, cur float64) *moveBounds {
 	row := s.Dist(u)
 	pb := &s.bounds
 	*pb = moveBounds{
-		duv:   append(pb.duv[:0], row...), // Dist rows are repaired in place mid-scan
+		duv:   row,
 		pairs: pb.pairs[:0],
 		ds:    pb.ds,
 		std:   pb.std,
@@ -474,7 +472,7 @@ func (s *State) BestBuy(u int) (best Move, cost float64, ok bool) {
 			continue
 		}
 		m := Move{Agent: u, Kind: Buy, V: v}
-		if !r.MoveFeasible(s, m) {
+		if !r.MoveFeasible(s.G, s.P.S[u], m) {
 			continue
 		}
 		if c := s.CostAfter(m); c < cost {

@@ -41,17 +41,19 @@ import (
 //     of any connected spanning subgraph, given the host MST weight —
 //     the edge-side term of opt.LowerBound.
 //
-// Rules values must be stateless (any parameters derive from the Game,
-// e.g. Alpha) and safe for concurrent use: verification workers call
-// them from many goroutines against cloned states.
+// Rules price strategies, not states: every method reads the Game and
+// the strategy it is handed, never a State, so evaluating a move never
+// writes the profile. Rules values must be stateless (any parameters
+// derive from the Game, e.g. Alpha) and safe for concurrent use: fork
+// workers call them from many goroutines over one shared profile.
 type Rules interface {
 	// Name is the model's registry key ("sum", "budget", "unit", ...),
 	// the value the sweep engine's model axis carries.
 	Name() string
 
-	// StrategyCost returns what agent u pays for its current strategy
-	// S_u (the edge-cost side of u's cost; distances are separate).
-	StrategyCost(s *State, u int) float64
+	// StrategyCost returns what agent u pays for strategy strat (the
+	// edge-cost side of u's cost; distances are separate).
+	StrategyCost(g *Game, u int, strat bitset.Set) float64
 
 	// DistTerm returns one pair's distance-cost contribution given
 	// demand t > 0 and network distance d. Callers guard the diagonal
@@ -64,13 +66,13 @@ type Rules interface {
 	// price at +Inf (unbuyable pairs stay unbuyable in every model).
 	AcquirePrice(alpha, w float64) float64
 
-	// MoveFeasible reports whether agent m.Agent may perform single-edge
-	// move m in state s. Models without strategy constraints return
-	// true. Must be consistent with Feasible on the resulting strategy,
+	// MoveFeasible reports whether agent m.Agent, playing strategy cur,
+	// may perform single-edge move m. Models without strategy constraints
+	// return true. Must be consistent with Feasible on the resulting strategy,
 	// except that models may additionally admit *repair* moves from
 	// infeasible strategies (e.g. budget: any move that decreases
 	// spending).
-	MoveFeasible(s *State, m Move) bool
+	MoveFeasible(g *Game, cur bitset.Set, m Move) bool
 
 	// Feasible reports whether strat is an admissible strategy for
 	// agent u on game g.
@@ -107,10 +109,10 @@ func (SumRules) Name() string { return "sum" }
 // single multiplication by α comes last. The order is load-bearing —
 // α·Σw and Σ(α·w) differ by ulps, and this fold shape is the one the
 // byte-identity contract pins.
-func (SumRules) StrategyCost(s *State, u int) float64 {
+func (SumRules) StrategyCost(g *Game, u int, strat bitset.Set) float64 {
 	total := 0.0
-	s.P.S[u].ForEach(func(v int) { total += s.hostWeight(u, v) })
-	return s.G.Alpha * total
+	strat.ForEach(func(v int) { total += g.Host.Weight(u, v) })
+	return g.Alpha * total
 }
 
 // DistTerm returns t·d.
@@ -120,7 +122,7 @@ func (SumRules) DistTerm(t, d float64) float64 { return t * d }
 func (SumRules) AcquirePrice(alpha, w float64) float64 { return alpha * w }
 
 // MoveFeasible always reports true: the paper's model is unconstrained.
-func (SumRules) MoveFeasible(*State, Move) bool { return true }
+func (SumRules) MoveFeasible(*Game, bitset.Set, Move) bool { return true }
 
 // Feasible always reports true.
 func (SumRules) Feasible(*Game, int, bitset.Set) bool { return true }

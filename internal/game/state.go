@@ -28,12 +28,14 @@ type State struct {
 
 	// scan accumulates best-response scan telemetry (see candidates.go);
 	// candBuf is the reused scratch buffer for candidate-source queries,
-	// and bounds the reused pruning bounds of the scan in progress
-	// (newMoveBounds), so a scan allocates nothing for either. Clones
-	// start with zero counters and empty buffers.
+	// bounds the reused pruning bounds of the scan in progress
+	// (newMoveBounds), and flips strategyFlips' result, so a scan
+	// allocates nothing for any of them. Clones start with zero counters
+	// and empty buffers.
 	scan    ScanStats
 	candBuf []int
 	bounds  moveBounds
+	flips   []edgeFlip
 }
 
 // NewState binds profile p to game g and materializes G(s). The profile is
@@ -92,33 +94,30 @@ type edgeFlip struct {
 // network: only edges incident to u whose ownership flip actually toggles
 // existence change, found by diffing the old and new strategy bitsets —
 // a single-edge move does O(Δ) edge work, never an O(n) vertex rescan.
-// Cached distance rows survive changes of at most repairFlipLimit edges
-// via in-place shortest-path repair; larger changes, and pure ownership
-// changes of zero edges, invalidate (respectively keep) them as before.
 func (s *State) SetStrategy(u int, strat bitset.Set) {
 	next := strat.Clone()
 	flips := s.strategyFlips(u, s.P.S[u], next)
 	s.P.S[u] = next
-	switch {
-	case len(flips) == 0:
-		// Pure ownership change: every distance is intact.
-	case len(flips) <= repairFlipLimit:
-		for _, f := range flips {
-			if f.add {
-				s.net.AddEdge(u, f.v, f.w)
-			} else {
-				s.net.RemoveEdge(u, f.v)
-			}
+	s.applyFlips(u, flips)
+}
+
+// applyFlips edits the network by agent u's edge flips and brings the
+// distance cache along. Cached distance rows survive changes of at most
+// repairFlipLimit edges via in-place shortest-path repair; larger
+// changes invalidate them, and pure ownership changes (no flips) keep
+// them as they are.
+func (s *State) applyFlips(u int, flips []edgeFlip) {
+	for _, f := range flips {
+		if f.add {
+			s.net.AddEdge(u, f.v, f.w)
+		} else {
+			s.net.RemoveEdge(u, f.v)
+		}
+		if len(flips) <= repairFlipLimit {
 			s.cache.edgeChanged(u, f.v, f.w, f.add)
 		}
-	default:
-		for _, f := range flips {
-			if f.add {
-				s.net.AddEdge(u, f.v, f.w)
-			} else {
-				s.net.RemoveEdge(u, f.v)
-			}
-		}
+	}
+	if len(flips) > repairFlipLimit {
 		s.cache.bump()
 	}
 }
@@ -128,9 +127,10 @@ func (s *State) SetStrategy(u int, strat bitset.Set) {
 // endpoint: only pairs in the symmetric difference of the two bitsets
 // are examined, and a pair flips only if the other endpoint does not
 // own it too. It is the one definition of a strategy change's edge
-// work, shared by SetStrategy and CostAfter.
+// work, shared by SetStrategy and CostAfter. The result lives in the
+// state's reused buffer s.flips and is valid until the next call.
 func (s *State) strategyFlips(u int, old, next bitset.Set) []edgeFlip {
-	var flips []edgeFlip
+	s.flips = s.flips[:0]
 	old.ForEachSymDiff(next, func(v int) {
 		s.touched++
 		if v == u {
@@ -139,18 +139,18 @@ func (s *State) strategyFlips(u int, old, next bitset.Set) []edgeFlip {
 		want := next.Has(v) || s.P.S[v].Has(u)
 		switch has := s.net.HasEdge(u, v); {
 		case want && !has:
-			flips = append(flips, edgeFlip{v, true, s.hostWeight(u, v)})
+			s.flips = append(s.flips, edgeFlip{v, true, s.hostWeight(u, v)})
 		case !want && has:
-			flips = append(flips, edgeFlip{v, false, s.net.EdgeWeight(u, v)})
+			s.flips = append(s.flips, edgeFlip{v, false, s.net.EdgeWeight(u, v)})
 		}
 	})
-	return flips
+	return s.flips
 }
 
 // EdgeCost returns what agent u pays for its purchases under the game's
 // cost model: α·w(u,S_u) in the paper's default SumRules.
 func (s *State) EdgeCost(u int) float64 {
-	return s.G.Rules().StrategyCost(s, u)
+	return s.G.Rules().StrategyCost(s.G, u, s.P.S[u])
 }
 
 // DistCost returns Σ_v t(u,v)·d_{G(s)}(u,v), where t is the game's

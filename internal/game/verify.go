@@ -213,7 +213,7 @@ func VerifyGreedyEquilibrium(s *State, opt VerifyOptions) VerifyResult {
 	return res
 }
 
-// verifyAgent checks one agent on a worker-private state. The verdict
+// verifyAgent checks one agent on a fork worker's state. The verdict
 // is a pure function of the state and options.
 func verifyAgent(work *State, u int, opt VerifyOptions) (v agentVerdict) {
 	cur := work.Cost(u)

@@ -44,7 +44,7 @@ type Budget struct{}
 func (Budget) Name() string { return "budget" }
 
 // StrategyCost returns 0: purchases are free under the budget cap.
-func (Budget) StrategyCost(*game.State, int) float64 { return 0 }
+func (Budget) StrategyCost(*game.Game, int, bitset.Set) float64 { return 0 }
 
 // DistTerm returns t·d.
 func (Budget) DistTerm(t, d float64) float64 { return t * d }
@@ -60,11 +60,10 @@ func (Budget) AcquirePrice(_, w float64) float64 {
 
 // MoveFeasible admits m iff the resulting strategy is within budget, or
 // strictly cheaper than the current one (the repair rule).
-func (Budget) MoveFeasible(s *game.State, m game.Move) bool {
-	g := s.G
-	cur := game.SpendOnStrategy(g, m.Agent, s.P.S[m.Agent])
-	next := game.SpendOnStrategy(g, m.Agent, m.NewStrategy(s.P.S[m.Agent]))
-	return next <= g.Alpha+g.Eps || next < cur
+func (Budget) MoveFeasible(g *game.Game, cur bitset.Set, m game.Move) bool {
+	spent := game.SpendOnStrategy(g, m.Agent, cur)
+	next := game.SpendOnStrategy(g, m.Agent, m.NewStrategy(cur))
+	return next <= g.Alpha+g.Eps || next < spent
 }
 
 // Feasible reports whether strat's host-weight spend is within budget.
@@ -93,10 +92,10 @@ type Unit struct{}
 func (Unit) Name() string { return "unit" }
 
 // StrategyCost returns α·|S_u|, +Inf if u owns an unbuyable pair.
-func (Unit) StrategyCost(s *game.State, u int) float64 {
+func (Unit) StrategyCost(g *game.Game, u int, strat bitset.Set) float64 {
 	count, inf := 0, false
-	s.P.S[u].ForEach(func(v int) {
-		if math.IsInf(s.G.Host.Weight(u, v), 1) {
+	strat.ForEach(func(v int) {
+		if math.IsInf(g.Host.Weight(u, v), 1) {
 			inf = true
 		}
 		count++
@@ -104,7 +103,7 @@ func (Unit) StrategyCost(s *game.State, u int) float64 {
 	if inf {
 		return math.Inf(1)
 	}
-	return s.G.Alpha * float64(count)
+	return g.Alpha * float64(count)
 }
 
 // DistTerm returns t·d.
@@ -119,7 +118,7 @@ func (Unit) AcquirePrice(alpha, w float64) float64 {
 }
 
 // MoveFeasible always reports true: the model is unconstrained.
-func (Unit) MoveFeasible(*game.State, game.Move) bool { return true }
+func (Unit) MoveFeasible(*game.Game, bitset.Set, game.Move) bool { return true }
 
 // Feasible always reports true.
 func (Unit) Feasible(*game.Game, int, bitset.Set) bool { return true }

@@ -231,7 +231,7 @@ func TestBudgetFeasibility(t *testing.T) {
 			}
 		}
 	}
-	if !r.MoveFeasible(star, game.Move{Agent: 0, Kind: game.Delete, V: 1}) {
+	if !r.MoveFeasible(g, star.P.S[0], game.Move{Agent: 0, Kind: game.Delete, V: 1}) {
 		t.Fatal("spend-reducing delete must be admissible from an over-budget state")
 	}
 
@@ -248,7 +248,7 @@ func TestBudgetFeasibility(t *testing.T) {
 		spend := game.SpendOnStrategy(g, 1, m.NewStrategy(s.P.S[1]))
 		if spend > g.Alpha+g.Eps {
 			over++
-			if r.MoveFeasible(s, m) {
+			if r.MoveFeasible(g, s.P.S[1], m) {
 				t.Fatalf("buy %v admitted despite spend %v > budget %v", m, spend, g.Alpha)
 			}
 		}
