@@ -73,6 +73,10 @@ type distCache struct {
 	specRow    []float64
 	specBlocks []float64
 
+	// pendingDiff's reused collapse buffers.
+	diffFlips              []pendingFlip
+	diffRemoved, diffAdded []graph.Edge
+
 	stats CacheStats
 }
 
@@ -205,28 +209,26 @@ var repairBudget = graph.DefaultRepairBudget
 // pair flipped an even number of times cancels entirely (e.g. a move and
 // its exact undo), an odd number of times appears once, on the side of
 // its final flip. Order follows first appearance in the log, keeping
-// replay deterministic. Caller holds c.mu; pos must be within the log's
-// horizon (pos >= base).
+// replay deterministic. Pairs are deduplicated by a linear scan (the log
+// holds at most maxPendingDeltas entries), and the flips and both
+// returned lists live in buffers the cache reuses, valid until the next
+// call. Caller holds c.mu; pos must be within the log's horizon
+// (pos >= base).
 func (c *distCache) pendingDiff(pos uint64) (removed, added []graph.Edge) {
-	type flip struct {
-		e   graph.Edge
-		add bool
-		net bool // presence differs from the row's network
-	}
-	var flips []flip
-	idx := map[[2]int]int{}
-	for i := int(pos - c.base); i < len(c.log); i++ {
-		d := c.log[i]
-		key := [2]int{min(d.u, d.v), max(d.u, d.v)}
-		if j, ok := idx[key]; ok {
-			flips[j].net = !flips[j].net
-			flips[j].add = d.add
-			continue
+	c.diffFlips = c.diffFlips[:0]
+next:
+	for _, d := range c.log[pos-c.base:] {
+		for j := range c.diffFlips {
+			if f := &c.diffFlips[j]; (f.e.U == d.u && f.e.V == d.v) || (f.e.U == d.v && f.e.V == d.u) {
+				f.net = !f.net
+				f.add = d.add
+				continue next
+			}
 		}
-		idx[key] = len(flips)
-		flips = append(flips, flip{e: graph.Edge{U: d.u, V: d.v, W: d.w}, add: d.add, net: true})
+		c.diffFlips = append(c.diffFlips, pendingFlip{e: graph.Edge{U: d.u, V: d.v, W: d.w}, add: d.add, net: true})
 	}
-	for _, f := range flips {
+	removed, added = c.diffRemoved[:0], c.diffAdded[:0]
+	for _, f := range c.diffFlips {
 		if !f.net {
 			continue
 		}
@@ -236,7 +238,17 @@ func (c *distCache) pendingDiff(pos uint64) (removed, added []graph.Edge) {
 			removed = append(removed, f.e)
 		}
 	}
+	c.diffRemoved, c.diffAdded = removed, added
 	return removed, added
+}
+
+// pendingFlip is one pair of pendingDiff's collapse: its first logged
+// edge, the side of its last flip, and whether its presence differs from
+// the row's network.
+type pendingFlip struct {
+	e   graph.Edge
+	add bool
+	net bool
 }
 
 // replayRowLocked brings cached row i from its position to the current
@@ -386,10 +398,11 @@ func (s *State) dist(src int, countHit bool) []float64 {
 // the read path, applies the flips to the network without logging them,
 // repairs a scratch copy of the row and its block sums across them and
 // refolds the dirty blocks, then undoes the flips in reverse order. A
-// repair refusal folds a fresh Dijkstra of the flipped network instead,
-// which is not cached. Either way the answer counts one cache event of
-// its own: a hit and a batch repair, or a refusal and a miss. Like every
-// mutation, it must not run concurrently with other uses of s.
+// repair refusal recomputes the flipped network's row into the same
+// scratch row and folds it; it is not cached. Either way the answer
+// counts one cache event of its own: a hit and a batch repair, or a
+// refusal and a miss. Like every mutation, it must not run concurrently
+// with other uses of s.
 func (s *State) speculativeDistCost(u int, flips []edgeFlip) float64 {
 	c := s.cache
 	row := s.dist(u, false)
@@ -417,7 +430,8 @@ func (s *State) speculativeDistCost(u int, flips []edgeFlip) float64 {
 		c.clearAggScratch()
 		c.stats.RepairRefusals++
 		c.stats.Misses++
-		total = s.foldDistCost(u, s.net.Dijkstra(u))
+		s.net.DijkstraInto(c.specRow, u)
+		total = s.foldDistCost(u, c.specRow)
 	}
 	for i := len(flips) - 1; i >= 0; i-- {
 		if f := flips[i]; f.add {

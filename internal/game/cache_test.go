@@ -251,17 +251,78 @@ func TestCostAfterLeavesCacheUntouched(t *testing.T) {
 	}
 }
 
-// TestCostAfterAllocatesOnlyTheStrategy: on a current row, a buy's
-// CostAfter allocates once, for the Move.NewStrategy clone; the edge
-// flips, the scratch row and its blocks live in buffers the state and
-// its cache reuse.
+// TestCostAfterAllocatesOnlyTheStrategy: on a current row, CostAfter
+// allocates once, for the Move.NewStrategy clone, whether the
+// speculative repair is accepted or refused: the edge flips, the scratch
+// row and its blocks live in buffers the state and its cache reuse, the
+// repair's bookkeeping in the graph package's pooled scratch, and a
+// refusal recomputes the row into the scratch row. On the path, cutting
+// (5,6) leaves 294 vertices to repair, past the budget of 91, while
+// cutting (290,291) leaves 9.
 func TestCostAfterAllocatesOnlyTheStrategy(t *testing.T) {
 	const n = 300
+	host := NewHost(gen.Tree(8, n, 1, 6))
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	star, path := StarProfile(n, 0), PathProfile(n, order)
+	for _, tc := range []struct {
+		p       Profile
+		m       Move
+		refused bool
+	}{
+		{star, Move{Agent: 5, Kind: Buy, V: 7}, false},
+		{path, Move{Agent: 5, Kind: Delete, V: 6}, true},
+		{path, Move{Agent: 290, Kind: Delete, V: 291}, false},
+		{path, Move{Agent: 5, Kind: Swap, V: 6, X: 150}, true},
+		{path, Move{Agent: 290, Kind: Swap, V: 291, X: 295}, false},
+	} {
+		s := NewState(New(host, n), tc.p.Clone())
+		s.Dist(tc.m.Agent)
+		before := s.CacheStats().RepairRefusals
+		s.CostAfter(tc.m)
+		if refused := s.CacheStats().RepairRefusals > before; refused != tc.refused {
+			t.Fatalf("CostAfter(%v): repair refused = %v, want %v", tc.m, refused, tc.refused)
+		}
+		if raceEnabled {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(100, func() { s.CostAfter(tc.m) }); allocs != 1 {
+			t.Fatalf("CostAfter(%v) allocated %v times per run, want 1", tc.m, allocs)
+		}
+	}
+}
+
+// TestStaleRowReplayAllocatesNothing: bringing a stale, private row
+// current through Dist (the log collapsed by pendingDiff, the row
+// batch-repaired and its aggregate refolded) allocates nothing once the
+// buffers are warm. Each run logs a flip of the star edge (0,10) and its
+// undo, which cancel, around a flip of (0,20), so the row is one net edge
+// behind; the flips are applied below the profile, as CostAfter does.
+func TestStaleRowReplayAllocatesNothing(t *testing.T) {
+	const n = 300
 	s := NewState(New(NewHost(gen.Tree(8, n, 1, 6)), n), StarProfile(n, 0))
-	m := Move{Agent: 5, Kind: Buy, V: 7}
-	s.Dist(m.Agent)
-	if allocs := testing.AllocsPerRun(100, func() { s.CostAfter(m) }); allocs != 1 {
-		t.Fatalf("CostAfter(%v) allocated %v times per run, want 1", m, allocs)
+	w10, w20 := s.hostWeight(0, 10), s.hostWeight(0, 20)
+	s.Dist(5)
+	has20 := true
+	replay := func() {
+		s.applyFlips(0, []edgeFlip{{10, false, w10}})
+		s.applyFlips(0, []edgeFlip{{20, !has20, w20}})
+		s.applyFlips(0, []edgeFlip{{10, true, w10}})
+		has20 = !has20
+		s.Dist(5)
+	}
+	before := s.CacheStats()
+	allocs := testing.AllocsPerRun(100, replay)
+	after := s.CacheStats()
+	if replays := after.BatchRepairs - before.BatchRepairs; replays != 101 || after.Misses != before.Misses {
+		t.Fatalf("101 reads replayed %d rows with %d misses, want 101 replays and no miss",
+			replays, after.Misses-before.Misses)
+	}
+	assertRowsBitEqualFresh(t, s, "replayed row", 0)
+	if allocs != 0 && !raceEnabled {
+		t.Fatalf("replaying a stale row through Dist allocated %v times per run, want 0", allocs)
 	}
 }
 

@@ -122,13 +122,15 @@ func rowsIdentical(t *testing.T, got, want []float64, ctx string) {
 }
 
 // FuzzForestRow pins the forest walk to the heap loop: from every source,
-// Dijkstra and DijkstraAvoiding return the reference heap row bit for
+// Dijkstra, DijkstraAvoiding and DijkstraInto (into a row still holding
+// the previous source's distances) return the reference heap row bit for
 // bit, and walkForest serves exactly the sources whose component is a
 // tree without an overflowing path sum, with the reference row.
 func FuzzForestRow(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, avoid := forestFromBytes(data)
+		into := make([]float64, g.n)
 		for src := 0; src < g.n; src++ {
 			avoids := []int{-1}
 			if avoid >= 0 && avoid != src {
@@ -138,6 +140,8 @@ func FuzzForestRow(f *testing.F) {
 				want := refRow(g, src, a)
 				if a < 0 {
 					rowsIdentical(t, g.Dijkstra(src), want, "Dijkstra")
+					g.DijkstraInto(into, src)
+					rowsIdentical(t, into, want, "DijkstraInto")
 				} else {
 					rowsIdentical(t, g.DijkstraAvoiding(src, a), want, "DijkstraAvoiding")
 				}

@@ -1,6 +1,9 @@
 package graph
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // Dynamic single-source shortest-path repair, after Ramalingam & Reps
 // (1996): when one edge changes, a previously computed Dijkstra row can be
@@ -24,6 +27,11 @@ import "math"
 // once the set exceeds it, leaving the row untouched for the caller to
 // recompute (or discard). DefaultRepairBudget is the threshold used by the
 // game's distance cache.
+//
+// The deletion side's bookkeeping (the affected set and the masked
+// insertions) is epoch-stamped dense scratch, pooled across calls, so
+// its cost is O(affected) array writes with nothing allocated once warm,
+// and a refusal wastes no more than the closure walk it cut short.
 
 // DefaultRepairBudget returns the affected-set size beyond which deletion
 // repair falls back to a full recomputation, for an n-vertex graph. Small
@@ -102,18 +110,23 @@ func addF(d, w float64) float64 {
 // repeatedly) for every entry that may have changed. If the removal
 // phase's affected set exceeds budget, dist is left untouched and ok is
 // false: the caller should recompute the row from scratch.
+//
+// A warm call allocates nothing: the removal phase's bookkeeping lives
+// in a pooled repairScratch.
 func (g *Graph) RepairRowBatch(dist []float64, src int, removed, added []Edge, budget int, mark func(x int)) (ok bool) {
+	var sc *repairScratch
 	if len(removed) > 0 {
-		var skip map[[2]int]bool
-		if len(added) > 0 {
-			skip = make(map[[2]int]bool, len(added))
-			for _, e := range added {
-				skip[pairKey(e.U, e.V)] = true
-			}
-		}
-		if !g.repairRemoveBatch(dist, src, removed, skip, budget, mark) {
-			return false
-		}
+		sc = repairScratches.Get().(*repairScratch)
+		defer repairScratches.Put(sc)
+	}
+	return g.repairRowBatch(sc, dist, src, removed, added, budget, mark)
+}
+
+// repairRowBatch is RepairRowBatch with the removal phase's scratch
+// passed in; sc may be nil when nothing is removed.
+func (g *Graph) repairRowBatch(sc *repairScratch, dist []float64, src int, removed, added []Edge, budget int, mark func(x int)) bool {
+	if len(removed) > 0 && !g.repairRemoveBatch(sc, dist, src, removed, added, budget, mark) {
+		return false
 	}
 	if len(added) > 0 {
 		g.repairAddBatch(dist, added, mark)
@@ -128,11 +141,78 @@ func pairKey(u, v int) [2]int {
 	return [2]int{u, v}
 }
 
+// repairScratch is the removal phase's bookkeeping. A vertex x is in the
+// affected set, or an endpoint of a masked pair, iff aff[x], or
+// skipEnd[x], equals the current epoch, so starting a repair costs one
+// increment instead of clearing n entries; only when the epoch wraps to
+// 0 are the stamps cleared. affected lists the affected vertices in
+// insertion order (the roots first) and doubles as the closure walk's
+// work list; skip holds the masked pairs.
+type repairScratch struct {
+	epoch    uint32
+	aff      []uint32
+	skipEnd  []uint32
+	affected []int32
+	skip     [][2]int
+}
+
+// repairScratches recycles repair scratch across calls, as heaps does for
+// heaps, so that a warm repair allocates nothing.
+var repairScratches = sync.Pool{New: func() any { return new(repairScratch) }}
+
+// begin starts a repair on an n-vertex graph: it grows the stamps to n
+// if they are shorter, advances the epoch, so every stamp from an
+// earlier repair reads as unset, and masks the added pairs.
+func (sc *repairScratch) begin(n int, added []Edge) {
+	if len(sc.aff) < n {
+		sc.aff, sc.skipEnd = make([]uint32, n), make([]uint32, n)
+	}
+	sc.epoch++
+	if sc.epoch == 0 {
+		clear(sc.aff)
+		clear(sc.skipEnd)
+		sc.epoch = 1
+	}
+	sc.affected = sc.affected[:0]
+	sc.skip = sc.skip[:0]
+	for _, e := range added {
+		sc.skip = append(sc.skip, pairKey(e.U, e.V))
+		sc.skipEnd[e.U], sc.skipEnd[e.V] = sc.epoch, sc.epoch
+	}
+}
+
+// affect adds x to the affected set.
+func (sc *repairScratch) affect(x int) {
+	sc.aff[x] = sc.epoch
+	sc.affected = append(sc.affected, int32(x))
+}
+
+func (sc *repairScratch) isAffected(x int) bool { return sc.aff[x] == sc.epoch }
+
+// masked reports whether (x,y) is an added pair, which the removal phase
+// must not see. The pair list is searched only when both endpoints are
+// stamped, which on most edges they are not.
+func (sc *repairScratch) masked(x, y int) bool {
+	if sc.skipEnd[x] != sc.epoch || sc.skipEnd[y] != sc.epoch {
+		return false
+	}
+	k := pairKey(x, y)
+	for _, p := range sc.skip {
+		if p == k {
+			return true
+		}
+	}
+	return false
+}
+
 // repairRemoveBatch repairs dist across the simultaneous deletion of the
-// removed edges. The graph it repairs against is g minus the pairs in
-// skipAdd (edges inserted after the row's network state, masked out so
-// the removal phase sees exactly the row's own graph minus the removals);
-// g itself must no longer contain any removed edge.
+// removed edges. The graph it repairs against is g minus the added pairs
+// (edges inserted after the row's network state, masked out so the
+// removal phase sees exactly the row's own graph minus the removals); g
+// itself must no longer contain any removed edge. sc holds the
+// bookkeeping: the affected set and the masked pairs are epoch stamps
+// in sc's dense arrays, so the repair costs O(affected) plus the edges
+// it scans, with nothing allocated once sc is warm.
 //
 // Only vertices whose every shortest path crossed a removed edge can
 // change; the repair finds that set by walking tight edges
@@ -140,29 +220,27 @@ func pairKey(u, v int) [2]int {
 // recomputes exactly those vertices with a boundary-seeded Dijkstra.
 // If the potentially-affected set exceeds budget, the row is left exactly
 // as it was and ok is false.
-func (g *Graph) repairRemoveBatch(dist []float64, src int, removed []Edge, skipAdd map[[2]int]bool, budget int, mark func(x int)) (ok bool) {
+func (g *Graph) repairRemoveBatch(sc *repairScratch, dist []float64, src int, removed, added []Edge, budget int, mark func(x int)) (ok bool) {
+	sc.begin(g.n, added)
 	// Roots: endpoints whose distance was supported through a deleted
 	// edge and have no alternative tight support left. If every endpoint
 	// keeps a support, no distance in the row can change. The source is
-	// its own support and is never a root.
-	var roots []int
-	isRoot := map[int]bool{}
+	// its own support and is never a root. Roots open the affected list.
 	for _, re := range removed {
 		if math.IsInf(re.W, 1) {
 			continue // an unbuyable edge never carried a shortest path
 		}
 		for _, e := range [2][2]int{{re.U, re.V}, {re.V, re.U}} {
 			far, near := e[0], e[1]
-			if far == src || isRoot[far] || dist[far] != addF(dist[near], re.W) || math.IsInf(dist[far], 1) {
+			if far == src || sc.isAffected(far) || dist[far] != addF(dist[near], re.W) || math.IsInf(dist[far], 1) {
 				continue
 			}
-			if !g.hasStrictSupport(dist, far, skipAdd) {
-				isRoot[far] = true
-				roots = append(roots, far)
+			if !g.hasStrictSupport(sc, dist, far) {
+				sc.affect(far)
 			}
 		}
 	}
-	if len(roots) == 0 {
+	if len(sc.affected) == 0 {
 		return true
 	}
 
@@ -170,32 +248,21 @@ func (g *Graph) repairRemoveBatch(dist []float64, src int, removed []Edge, skipA
 	// root via tight edges in the remaining graph. This overestimates the
 	// truly-affected set (a vertex with an untouched alternative support
 	// is collected anyway) but never misses a vertex whose distance must
-	// change, and phase 2 recomputes members from scratch either way.
-	affected := map[int]bool{}
-	queue := make([]int, 0, len(roots))
-	for _, r := range roots {
-		if !affected[r] {
-			affected[r] = true
-			queue = append(queue, r)
-		}
-	}
-	for len(queue) > 0 {
-		x := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
+	// change, and phase 2 recomputes members from scratch either way. The
+	// affected list is its own work list; the closure, and so whether it
+	// exceeds budget, does not depend on the visit order.
+	for i := 0; i < len(sc.affected); i++ {
+		x := int(sc.affected[i])
 		dx := dist[x]
 		for _, e := range g.adj[x] {
-			if math.IsInf(e.w, 1) || affected[e.to] || e.to == src {
-				continue
-			}
-			if skipAdd != nil && skipAdd[pairKey(x, e.to)] {
+			if math.IsInf(e.w, 1) || sc.isAffected(e.to) || e.to == src || sc.masked(x, e.to) {
 				continue
 			}
 			if dist[e.to] == dx+e.w {
-				if len(affected) >= budget {
+				if len(sc.affected) >= budget {
 					return false
 				}
-				affected[e.to] = true
-				queue = append(queue, e.to)
+				sc.affect(e.to)
 			}
 		}
 	}
@@ -206,22 +273,20 @@ func (g *Graph) repairRemoveBatch(dist []float64, src int, removed []Edge, skipA
 	// can never win (their value is already the minimum) so no guard is
 	// needed beyond the usual strict comparison.
 	if mark != nil {
-		for x := range affected {
-			mark(x)
+		for _, x := range sc.affected {
+			mark(int(x))
 		}
 	}
 	h := getHeap()
 	defer putHeap(h)
-	for x := range affected {
+	for _, x := range sc.affected {
 		dist[x] = math.Inf(1)
 	}
-	for x := range affected {
+	for _, x32 := range sc.affected {
+		x := int(x32)
 		best := math.Inf(1)
 		for _, e := range g.adj[x] {
-			if math.IsInf(e.w, 1) || affected[e.to] {
-				continue
-			}
-			if skipAdd != nil && skipAdd[pairKey(x, e.to)] {
+			if math.IsInf(e.w, 1) || sc.isAffected(e.to) || sc.masked(x, e.to) {
 				continue
 			}
 			if nd := addF(dist[e.to], e.w); nd < best {
@@ -239,10 +304,7 @@ func (g *Graph) repairRemoveBatch(dist []float64, src int, removed []Edge, skipA
 			continue
 		}
 		for _, e := range g.adj[x] {
-			if math.IsInf(e.w, 1) {
-				continue
-			}
-			if skipAdd != nil && skipAdd[pairKey(x, e.to)] {
+			if math.IsInf(e.w, 1) || sc.masked(x, e.to) {
 				continue
 			}
 			if nd := dx + e.w; nd < dist[e.to] {
@@ -261,15 +323,12 @@ func (g *Graph) repairRemoveBatch(dist []float64, src int, removed []Edge, skipA
 // each other while both are grounded only through the deleted edge, so an
 // equal-distance support proves nothing. Treating such endpoints as roots
 // is conservative: phase 2 recomputes them and lands on the same values
-// whenever the tie was genuine. Edges whose pair is in skipAdd (inserted
-// after the row's network state) are not remaining edges and never count.
-func (g *Graph) hasStrictSupport(dist []float64, x int, skipAdd map[[2]int]bool) bool {
+// whenever the tie was genuine. Pairs masked in sc (inserted after the
+// row's network state) are not remaining edges and never count.
+func (g *Graph) hasStrictSupport(sc *repairScratch, dist []float64, x int) bool {
 	dx := dist[x]
 	for _, e := range g.adj[x] {
-		if math.IsInf(e.w, 1) || dist[e.to] >= dx {
-			continue
-		}
-		if skipAdd != nil && skipAdd[pairKey(x, e.to)] {
+		if math.IsInf(e.w, 1) || dist[e.to] >= dx || sc.masked(x, e.to) {
 			continue
 		}
 		if dist[e.to]+e.w == dx {

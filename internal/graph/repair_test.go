@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -347,33 +348,172 @@ func repairCaseFromBytes(data []byte) (g *Graph, src, budget int, removed, added
 	return g, src, budget, removed, added
 }
 
-// FuzzRepairRowBatch pins RepairRowBatch to the heap loop: a row of the
-// graph before the diff, repaired across it, is bit for bit the heap
-// loop's row of the graph after it; every entry whose bits changed was
-// passed to mark (the game's aggregate maintenance refolds only marked
-// blocks); and a refusal over budget leaves the row untouched.
+// checkRepair decodes a repair case from data, applies its diff to the
+// graph and repairs the graph's old row through sc, as RepairRowBatch
+// does through a pooled scratch. An accepted repair must be bit for bit
+// the heap loop's row of the graph after the diff, with every entry
+// whose bits changed passed to mark (the game's aggregate maintenance
+// refolds only marked blocks); a refusal over budget must leave the row
+// untouched. With within set, the decoded budget is replaced by n+1, so
+// the repair cannot refuse.
+func checkRepair(t *testing.T, sc *repairScratch, data []byte, within bool, ctx string) {
+	t.Helper()
+	g, src, budget, removed, added := repairCaseFromBytes(data)
+	if within {
+		budget = g.n + 1
+	}
+	before := refRow(g, src, -1)
+	for _, e := range removed {
+		g.RemoveEdge(e.U, e.V)
+	}
+	for _, e := range added {
+		g.AddEdge(e.U, e.V, e.W)
+	}
+	dist := append([]float64(nil), before...)
+	marked := make([]bool, len(dist))
+	if !g.repairRowBatch(sc, dist, src, removed, added, budget, func(x int) { marked[x] = true }) {
+		if within {
+			t.Fatalf("%s: refused within budget n+1", ctx)
+		}
+		rowsIdentical(t, dist, before, ctx+": refused repair")
+		return
+	}
+	rowsIdentical(t, dist, refRow(g, src, -1), ctx)
+	for v := range dist {
+		if math.Float64bits(dist[v]) != math.Float64bits(before[v]) && !marked[v] {
+			t.Fatalf("%s: dist[%d] changed from %v to %v without a mark", ctx, v, before[v], dist[v])
+		}
+	}
+}
+
+// FuzzRepairRowBatch pins RepairRowBatch to the heap loop (see
+// checkRepair) through a scratch an earlier repair left stamped: the
+// scratch first repairs, within budget, a case on a graph of a different
+// size decoded from the same bytes, then runs the checked repair.
 func FuzzRepairRowBatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, src, budget, removed, added := repairCaseFromBytes(data)
-		before := refRow(g, src, -1)
-		for _, e := range removed {
-			g.RemoveEdge(e.U, e.V)
+		n := 1 // the vertex count repairCaseFromBytes decodes from data
+		if len(data) > 0 {
+			n += int(data[0]) % 24
 		}
-		for _, e := range added {
-			g.AddEdge(e.U, e.V, e.W)
-		}
-		dist := append([]float64(nil), before...)
-		marked := make([]bool, len(dist))
-		if !g.RepairRowBatch(dist, src, removed, added, budget, func(x int) { marked[x] = true }) {
-			rowsIdentical(t, dist, before, "refused repair")
-			return
-		}
-		rowsIdentical(t, dist, refRow(g, src, -1), "RepairRowBatch")
-		for v := range dist {
-			if math.Float64bits(dist[v]) != math.Float64bits(before[v]) && !marked[v] {
-				t.Fatalf("dist[%d] changed from %v to %v without a mark", v, before[v], dist[v])
-			}
-		}
+		// A leading byte n decodes to 1 + n%24 vertices: n+1, or 1 when
+		// n is 24.
+		sc := new(repairScratch)
+		checkRepair(t, sc, append([]byte{byte(n)}, data...), true, "unrelated repair")
+		checkRepair(t, sc, data, false, "RepairRowBatch")
 	})
+}
+
+// repairFixture is a warm-repair case with both sides of a diff: a
+// 64-vertex unit path whose edge (10,11) was removed, cutting off 11..63,
+// and (0,50) of weight 3 added, which reconnects them farther away than
+// before. before is vertex 0's row of the path.
+func repairFixture() (g *Graph, before []float64, removed, added []Edge) {
+	const n = 64
+	g = New(n)
+	for i := 0; i+1 < n; i++ {
+		g.AddEdge(i, i+1, 1)
+	}
+	before = g.Dijkstra(0)
+	removed, added = []Edge{{U: 10, V: 11, W: 1}}, []Edge{{U: 0, V: 50, W: 3}}
+	g.RemoveEdge(10, 11)
+	g.AddEdge(0, 50, 3)
+	return g, before, removed, added
+}
+
+// TestRepairRowBatchAllocatesNothing: once the pooled scratch and heap are
+// warm, a repair with removals and additions allocates nothing.
+func TestRepairRowBatchAllocatesNothing(t *testing.T) {
+	g, before, removed, added := repairFixture()
+	dist := make([]float64, len(before))
+	marked := make([]bool, len(before))
+	mark := func(x int) { marked[x] = true }
+	repair := func() {
+		copy(dist, before)
+		if !g.RepairRowBatch(dist, 0, removed, added, len(dist), mark) {
+			t.Fatal("repair refused within budget n")
+		}
+	}
+	repair()
+	rowsIdentical(t, dist, refRow(g, 0, -1), "RepairRowBatch")
+	if raceEnabled {
+		return
+	}
+	if allocs := testing.AllocsPerRun(100, repair); allocs != 0 {
+		t.Fatalf("a warm RepairRowBatch allocated %v times per run, want 0", allocs)
+	}
+}
+
+// TestRepairScratchEpochWrap: a repair that wraps the scratch's epoch to
+// 0 clears the stamps first. They are preset to 1, the epoch after the
+// wrap, so a skipped clear would read every vertex as already affected
+// and leave the row unrepaired.
+func TestRepairScratchEpochWrap(t *testing.T) {
+	g, before, removed, added := repairFixture()
+	sc := &repairScratch{epoch: math.MaxUint32, aff: make([]uint32, g.n), skipEnd: make([]uint32, g.n)}
+	for i := range sc.aff {
+		sc.aff[i], sc.skipEnd[i] = 1, 1
+	}
+	dist := append([]float64(nil), before...)
+	if !g.repairRowBatch(sc, dist, 0, removed, added, g.n, nil) {
+		t.Fatal("repair refused within budget n")
+	}
+	rowsIdentical(t, dist, refRow(g, 0, -1), "repair across the epoch wrap")
+	if sc.epoch != 1 {
+		t.Fatalf("epoch after the wrap = %d, want 1", sc.epoch)
+	}
+}
+
+// TestRepairRowBatchConcurrent: goroutines repairing rows of distinct
+// graphs of distinct sizes at once share the scratch pool, and every
+// repair still equals a fresh Dijkstra. Run it under -race.
+func TestRepairRowBatchConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for k := 0; k < 4; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(900 + k)))
+			for round := 0; round < 40; round++ {
+				n := 6 + 5*k + rng.Intn(5)
+				g := randRepairGraph(rng, n, "ties")
+				src := rng.Intn(n)
+				dist := g.Dijkstra(src)
+				var removed, added []Edge
+				for _, e := range g.Edges() {
+					if rng.Intn(4) == 0 {
+						removed = append(removed, e)
+						g.RemoveEdge(e.U, e.V)
+					}
+				}
+				for u := 0; u < n; u++ {
+					if v := rng.Intn(n); v != u && !g.HasEdge(u, v) && rng.Intn(3) == 0 {
+						w := float64(rng.Intn(3))
+						g.AddEdge(u, v, w)
+						added = append(added, Edge{U: u, V: v, W: w})
+					}
+				}
+				if !g.RepairRowBatch(dist, src, removed, added, n+1, nil) {
+					t.Errorf("goroutine %d round %d: budget n+1 exceeded on an n-vertex graph", k, round)
+					return
+				}
+				if want := refRow(g, src, -1); !rowsEqual(dist, want) {
+					t.Errorf("goroutine %d round %d: repaired row %v, heap loop %v", k, round, dist, want)
+					return
+				}
+			}
+		}(k)
+	}
+	wg.Wait()
+}
+
+// rowsEqual reports whether two rows are bit for bit equal.
+func rowsEqual(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return len(a) == len(b)
 }

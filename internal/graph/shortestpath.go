@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 
 	"gncg/internal/parallel"
@@ -27,15 +28,33 @@ func (g *Graph) DijkstraAvoiding(src, avoid int) []float64 {
 	return g.shortestRow(src, avoid)
 }
 
-// shortestRow is the shortest-path core behind Dijkstra and
-// DijkstraAvoiding: distances from src with vertex avoid removed (avoid <
-// 0 removes none). It first tries walkForest, and runs the heap loop only
-// when the walk gives up. The walk is tried only while the edge count
-// still admits a forest (fewer edges than vertices, with avoid and its
-// edges discounted), so a connected network with a cycle never pays for a
-// walk bound to fail.
+// DijkstraInto is Dijkstra writing into dst, which must have length N(),
+// instead of a new row: callers that fold a row and drop it, such as the
+// game's refused speculative repairs, reuse one buffer.
+func (g *Graph) DijkstraInto(dst []float64, src int) {
+	g.checkVertex(src)
+	if len(dst) != g.n {
+		panic(fmt.Sprintf("graph: DijkstraInto row of length %d on %d vertices", len(dst), g.n))
+	}
+	g.shortestRowInto(dst, src, -1)
+}
+
+// shortestRow is shortestRowInto on a new row.
 func (g *Graph) shortestRow(src, avoid int) []float64 {
 	dist := make([]float64, g.n)
+	g.shortestRowInto(dist, src, avoid)
+	return dist
+}
+
+// shortestRowInto is the shortest-path core behind Dijkstra,
+// DijkstraAvoiding and DijkstraInto: it overwrites dist with the
+// distances from src with vertex avoid removed (avoid < 0 removes none).
+// It first tries walkForest, and runs the heap loop only when the walk
+// gives up. The walk is tried only while the edge count still admits a
+// forest (fewer edges than vertices, with avoid and its edges
+// discounted), so a connected network with a cycle never pays for a walk
+// bound to fail.
+func (g *Graph) shortestRowInto(dist []float64, src, avoid int) {
 	h := getHeap()
 	defer putHeap(h)
 	m, n := g.m, g.n
@@ -47,7 +66,7 @@ func (g *Graph) shortestRow(src, avoid int) []float64 {
 		stack, ok := g.walkForest(dist, src, avoid, h.vs[:0])
 		h.vs = stack[:0]
 		if ok {
-			return dist
+			return
 		}
 	}
 	resetRow(dist, src)
@@ -67,7 +86,6 @@ func (g *Graph) shortestRow(src, avoid int) []float64 {
 			}
 		}
 	}
-	return dist
 }
 
 // resetRow sets dist to +Inf everywhere but dist[src] = 0.

@@ -61,9 +61,44 @@ func (Budget) AcquirePrice(_, w float64) float64 {
 // MoveFeasible admits m iff the resulting strategy is within budget, or
 // strictly cheaper than the current one (the repair rule).
 func (Budget) MoveFeasible(g *game.Game, cur bitset.Set, m game.Move) bool {
-	spent := game.SpendOnStrategy(g, m.Agent, cur)
-	next := game.SpendOnStrategy(g, m.Agent, m.NewStrategy(cur))
+	spent, next := spendBeforeAfter(g, cur, m)
 	return next <= g.Alpha+g.Eps || next < spent
+}
+
+// spendBeforeAfter returns SpendOnStrategy of cur and of m.NewStrategy(cur)
+// for m's agent, in one pass over cur and without building the new
+// strategy: the move is applied on the fly, dropping the deleted endpoint
+// and folding the added one at its ascending position. Both sums fold in
+// the same order as SpendOnStrategy's, so they are bit-identical to it.
+func spendBeforeAfter(g *game.Game, cur bitset.Set, m game.Move) (spent, next float64) {
+	add, drop := -1, -1
+	switch m.Kind {
+	case game.Buy:
+		add = m.V
+	case game.Delete:
+		drop = m.V
+	case game.Swap:
+		drop, add = m.V, m.X
+	}
+	u := m.Agent
+	cur.ForEach(func(v int) {
+		w := g.Host.Weight(u, v)
+		spent += w
+		if add >= 0 && add < v {
+			next += g.Host.Weight(u, add)
+			add = -1
+		}
+		if v == add {
+			add = -1 // already owned: the new strategy holds it once
+		} else if v == drop {
+			return
+		}
+		next += w
+	})
+	if add >= 0 {
+		next += g.Host.Weight(u, add)
+	}
+	return spent, next
 }
 
 // Feasible reports whether strat's host-weight spend is within budget.

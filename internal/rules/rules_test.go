@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"gncg/internal/bestresponse"
 	"gncg/internal/game"
+	"gncg/internal/gen"
 	"gncg/internal/metric"
 )
 
@@ -306,5 +308,65 @@ func TestRegistry(t *testing.T) {
 	}
 	if game.New(randMatrixHost(t, rand.New(rand.NewSource(1)), 4), 1).Rules().Name() != "sum" {
 		t.Fatal("default game rules are not the sum model")
+	}
+}
+
+// TestBudgetSpendMatchesNewStrategy: on every buy, delete and swap of
+// every agent of a random profile on a small tree host, the spend
+// MoveFeasible computes on the fly is bit-equal to SpendOnStrategy of
+// the strategy the move builds, before and after the move.
+func TestBudgetSpendMatchesNewStrategy(t *testing.T) {
+	const n = 12
+	rng := rand.New(rand.NewSource(7))
+	g := game.NewWithRules(game.NewHost(gen.Tree(7, n, 1, 6)), 10, Budget{})
+	p := randProfile(rng, n, 0.3)
+	checked := 0
+	for u := 0; u < n; u++ {
+		cur := p.S[u]
+		var moves []game.Move
+		for v := 0; v < n; v++ {
+			if v == u {
+				continue
+			}
+			if !cur.Has(v) {
+				moves = append(moves, game.Move{Agent: u, Kind: game.Buy, V: v})
+				continue
+			}
+			moves = append(moves, game.Move{Agent: u, Kind: game.Delete, V: v})
+			for x := 0; x < n; x++ {
+				if x != u && !cur.Has(x) {
+					moves = append(moves, game.Move{Agent: u, Kind: game.Swap, V: v, X: x})
+				}
+			}
+		}
+		for _, m := range moves {
+			spent, next := spendBeforeAfter(g, cur, m)
+			wantSpent := game.SpendOnStrategy(g, u, cur)
+			wantNext := game.SpendOnStrategy(g, u, m.NewStrategy(cur))
+			if math.Float64bits(spent) != math.Float64bits(wantSpent) || math.Float64bits(next) != math.Float64bits(wantNext) {
+				t.Fatalf("%v: spend %v -> %v, SpendOnStrategy gives %v -> %v", m, spent, next, wantSpent, wantNext)
+			}
+			checked++
+		}
+	}
+	if checked < n {
+		t.Fatalf("only %d moves checked", checked)
+	}
+}
+
+// TestBudgetMoveFeasibleAllocatesNothing: MoveFeasible prices a move
+// without cloning the agent's strategy.
+func TestBudgetMoveFeasibleAllocatesNothing(t *testing.T) {
+	const n = 1000
+	g := game.NewWithRules(game.NewHost(gen.Tree(7, n, 1, 6)), n, Budget{})
+	cur := game.PathProfile(n, []int{0, 1}).S[0] // agent 0 owns (0,1)
+	for _, m := range []game.Move{
+		{Agent: 0, Kind: game.Buy, V: 700},
+		{Agent: 0, Kind: game.Delete, V: 1},
+		{Agent: 0, Kind: game.Swap, V: 1, X: 700},
+	} {
+		if allocs := testing.AllocsPerRun(100, func() { Budget{}.MoveFeasible(g, cur, m) }); allocs != 0 {
+			t.Fatalf("MoveFeasible(%v) allocated %v times per run, want 0", m, allocs)
+		}
 	}
 }
