@@ -77,6 +77,9 @@ type distCache struct {
 	diffFlips              []pendingFlip
 	diffRemoved, diffAdded []graph.Edge
 
+	// The working memory of every repair and refusal row run under mu.
+	scratch graph.Scratch
+
 	stats CacheStats
 }
 
@@ -262,7 +265,7 @@ func (c *distCache) replayRowLocked(s *State, i int) bool {
 		c.ownRowLocked(i)
 		row := c.rows[i]
 		mark := c.beginAggMark()
-		if !s.net.RepairRowBatch(row, i, removed, added, repairBudget(len(c.rows)), mark) {
+		if !s.net.RepairRowBatch(&c.scratch, row, i, removed, added, repairBudget(len(c.rows)), mark) {
 			c.clearAggScratch()
 			c.dropRowLocked(i)
 			c.stats.RepairRefusals++
@@ -422,7 +425,7 @@ func (s *State) speculativeDistCost(u int, flips []edgeFlip) float64 {
 		}
 	}
 	var total float64
-	if s.net.RepairRowBatch(c.specRow, u, removed, added, repairBudget(len(c.rows)), c.beginAggMark()) {
+	if s.net.RepairRowBatch(&c.scratch, c.specRow, u, removed, added, repairBudget(len(c.rows)), c.beginAggMark()) {
 		c.stats.Hits++
 		c.stats.BatchRepairs++
 		total = c.refoldLocked(s, u, c.specRow, c.specBlocks)
@@ -430,7 +433,7 @@ func (s *State) speculativeDistCost(u int, flips []edgeFlip) float64 {
 		c.clearAggScratch()
 		c.stats.RepairRefusals++
 		c.stats.Misses++
-		s.net.DijkstraInto(c.specRow, u)
+		s.net.DijkstraInto(&c.scratch, c.specRow, u)
 		total = s.foldDistCost(u, c.specRow)
 	}
 	for i := len(flips) - 1; i >= 0; i-- {

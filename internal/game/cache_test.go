@@ -255,11 +255,11 @@ func TestCostAfterLeavesCacheUntouched(t *testing.T) {
 // allocates once, for the Move.NewStrategy clone, whether the
 // speculative repair is accepted or refused: the edge flips, the scratch
 // row and its blocks live in buffers the state and its cache reuse, the
-// repair's bookkeeping in the graph package's pooled scratch, and a
-// refusal recomputes the row into the scratch row. On the path, cutting
-// (5,6) leaves 294 vertices to repair, past the budget of 91, while
-// cutting (290,291) leaves 9. Under -race only the buy is counted: it
-// repairs by additions alone and never takes the pooled scratch.
+// repair's and the refusal row's working memory in the cache's own
+// graph.Scratch, and a refusal recomputes the row into the scratch row.
+// On the path, cutting (5,6) leaves 294 vertices to repair, past the
+// budget of 91, while cutting (290,291) leaves 9. No pool is on the
+// path, so every case is counted under -race too.
 func TestCostAfterAllocatesOnlyTheStrategy(t *testing.T) {
 	const n = 300
 	host := NewHost(gen.Tree(8, n, 1, 6))
@@ -285,9 +285,6 @@ func TestCostAfterAllocatesOnlyTheStrategy(t *testing.T) {
 		s.CostAfter(tc.m)
 		if refused := s.CacheStats().RepairRefusals > before; refused != tc.refused {
 			t.Fatalf("CostAfter(%v): repair refused = %v, want %v", tc.m, refused, tc.refused)
-		}
-		if raceEnabled && tc.m.Kind != Buy {
-			continue
 		}
 		if allocs := testing.AllocsPerRun(100, func() { s.CostAfter(tc.m) }); allocs != 1 {
 			t.Fatalf("CostAfter(%v) allocated %v times per run, want 1", tc.m, allocs)
@@ -322,7 +319,7 @@ func TestStaleRowReplayAllocatesNothing(t *testing.T) {
 			replays, after.Misses-before.Misses)
 	}
 	assertRowsBitEqualFresh(t, s, "replayed row", 0)
-	if allocs != 0 && !raceEnabled {
+	if allocs != 0 {
 		t.Fatalf("replaying a stale row through Dist allocated %v times per run, want 0", allocs)
 	}
 }

@@ -6,14 +6,13 @@ import (
 	"testing"
 )
 
-// refRow is the heap loop shortestRow falls back to, kept here as an
-// independent reference: distances from src with avoid removed (avoid < 0
-// removes none), by binary-heap Dijkstra alone.
+// refRow is the heap loop, kept here as an independent reference for
+// every row the package computes: distances from src with avoid removed
+// (avoid < 0 removes none), by binary-heap Dijkstra alone.
 func refRow(g *Graph, src, avoid int) []float64 {
 	dist := make([]float64, g.n)
 	resetRow(dist, src)
-	h := getHeap()
-	defer putHeap(h)
+	var h heap
 	h.push(src, 0)
 	for h.len() > 0 {
 		u, du := h.pop()
@@ -121,16 +120,20 @@ func rowsIdentical(t *testing.T, got, want []float64, ctx string) {
 	}
 }
 
-// FuzzForestRow pins the forest walk to the heap loop: from every source,
-// Dijkstra, DijkstraAvoiding and DijkstraInto (into a row still holding
-// the previous source's distances) return the reference heap row bit for
-// bit, and walkForest serves exactly the sources whose component is a
-// tree without an overflowing path sum, with the reference row.
+// FuzzForestRow pins the shortest-path core to the heap loop: from every
+// source, Dijkstra, DijkstraAvoiding and DijkstraInto (into a row still
+// holding the previous source's distances) return the reference heap row
+// bit for bit, and so does a settle without the walk in front at cap
+// factor 0, which takes the heap phase at its first scan; every row
+// passes certifyRow. walkForest serves exactly the sources whose
+// component is a tree without an overflowing path sum, with the
+// reference row.
 func FuzzForestRow(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, avoid := forestFromBytes(data)
 		into := make([]float64, g.n)
+		sc := new(Scratch)
 		for src := 0; src < g.n; src++ {
 			avoids := []int{-1}
 			if avoid >= 0 && avoid != src {
@@ -139,12 +142,19 @@ func FuzzForestRow(f *testing.F) {
 			for _, a := range avoids {
 				want := refRow(g, src, a)
 				if a < 0 {
-					rowsIdentical(t, g.Dijkstra(src), want, "Dijkstra")
-					g.DijkstraInto(into, src)
+					got := g.Dijkstra(src)
+					rowsIdentical(t, got, want, "Dijkstra")
+					certifyRow(t, g, src, a, got, "Dijkstra")
+					g.DijkstraInto(sc, into, src)
 					rowsIdentical(t, into, want, "DijkstraInto")
 				} else {
-					rowsIdentical(t, g.DijkstraAvoiding(src, a), want, "DijkstraAvoiding")
+					got := g.DijkstraAvoiding(src, a)
+					rowsIdentical(t, got, want, "DijkstraAvoiding")
+					certifyRow(t, g, src, a, got, "DijkstraAvoiding")
 				}
+				heapRow, _, _ := settledRow(g, sc, src, a, 0)
+				rowsIdentical(t, heapRow, want, "settle at cap factor 0")
+				certifyRow(t, g, src, a, heapRow, "settle at cap factor 0")
 				dist := make([]float64, g.n)
 				resetRow(dist, src)
 				_, ok := g.walkForest(dist, src, a, nil)
@@ -220,8 +230,8 @@ func TestEdgeCountTracksMutations(t *testing.T) {
 
 // TestForestAPSPMatchesHeap: APSP and APSPAvoiding on a random forest
 // without +Inf edges or overflowing sums, whose rows all come from walks
-// run concurrently on pooled stacks, equal the heap loop row by row, bit
-// for bit.
+// run concurrently on pooled scratch, equal the heap loop row by row,
+// bit for bit.
 func TestForestAPSPMatchesHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const n = 300

@@ -1,11 +1,12 @@
 // Package graph provides the weighted-graph substrate for the network
 // creation game: adjacency-list graphs with float64 weights, single-source
-// shortest paths (a depth-first walk on forests, binary-heap Dijkstra past
-// the first cycle; see shortestpath.go), dynamic single-edge repair of
-// Dijkstra rows (Ramalingam–Reps style; see repair.go), parallel all-pairs
-// shortest paths, a dense Floyd–Warshall used as a correctness cross-check,
-// Prim's minimum spanning tree, and structural queries (connectivity,
-// diameter, cycles).
+// shortest paths (a depth-first walk on forests, a capped label-correcting
+// work list past the first cycle that finishes as binary-heap Dijkstra if
+// its cap is reached; see shortestpath.go and settle.go), dynamic repair of
+// shortest-path rows across edge changes on the same core (Ramalingam–Reps
+// style; see repair.go), parallel all-pairs shortest paths, a dense
+// Floyd–Warshall used as a correctness cross-check, Prim's minimum
+// spanning tree, and structural queries (connectivity, diameter, cycles).
 //
 // Absent connections are represented by +Inf distances. Edge weights must
 // be non-negative (Dijkstra's precondition); zero weights are legal and do

@@ -1,34 +1,15 @@
 package graph
 
-import "sync"
-
-// heap is a lazy-deletion binary min-heap of (vertex, priority) pairs,
-// specialized for Dijkstra: duplicates are allowed and stale entries are
-// filtered by the caller's dist check. Avoiding container/heap's interface
-// indirection roughly halves the constant factor of the inner loop, which
-// matters because APSP over every source dominates most experiments.
-// On forests the heap is never filled: shortestRow's depth-first walk
-// (walkForest) borrows vs as its stack instead, and the heap loop runs
-// only when the walk gives up at a cycle or an overflowing sum.
+// heap is a lazy-deletion binary min-heap of (vertex, priority) pairs:
+// duplicates are allowed and stale entries are filtered by the caller's
+// label check. Avoiding container/heap's interface indirection roughly
+// halves the constant factor of the inner loop. Shortest paths reach it
+// only when settle's relaxation cap is exceeded (settleHeap); Prim's MST
+// is its other user.
 type heap struct {
 	vs []int32
 	ps []float64
 }
-
-// heaps recycles heaps across shortest-path calls. A heap per Dijkstra
-// or repair would be, after the distance rows themselves, the largest
-// allocation of a best-response scan, and that garbage paces the
-// collector.
-var heaps = sync.Pool{New: func() any { return new(heap) }}
-
-// getHeap returns an empty heap; pass it to putHeap when done.
-func getHeap() *heap {
-	h := heaps.Get().(*heap)
-	h.vs, h.ps = h.vs[:0], h.ps[:0]
-	return h
-}
-
-func putHeap(h *heap) { heaps.Put(h) }
 
 func (h *heap) len() int { return len(h.vs) }
 

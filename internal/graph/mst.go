@@ -16,8 +16,7 @@ func (g *Graph) MST() ([]Edge, float64) {
 	}
 	var edges []Edge
 	total := 0.0
-	h := getHeap() // empty again after each tree
-	defer putHeap(h)
+	var h heap // empty again after each tree
 	for root := 0; root < g.n; root++ {
 		if inTree[root] {
 			continue

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
 // Dynamic single-source shortest-path repair, after Ramalingam & Reps
 // (1996): when one edge changes, a previously computed Dijkstra row can be
@@ -15,11 +12,12 @@ import (
 // full-Dijkstra price.
 //
 // The repair keeps the row bit-identical to what a fresh Dijkstra on the
-// mutated graph would produce: repaired values are minima over exactly
-// the same left-to-right float path sums that Dijkstra's dynamic program
-// explores, and untouched values are proven unchanged (an edge insertion
-// only relaxes, and a deletion can only affect vertices whose every tight
-// predecessor chain crossed the deleted edge).
+// mutated graph would produce: repaired values are settled by the same
+// label-correcting core as fresh rows (settle.go), whose fixpoint is the
+// minimum over exactly the same left-to-right float path sums whatever
+// the order of relaxation, and untouched values are proven unchanged (an
+// edge insertion only relaxes, and a deletion can only affect vertices
+// whose every tight predecessor chain crossed the deleted edge).
 //
 // The deletion side is output-sensitive but not worst-case better than
 // Dijkstra: on graphs with many equal-length ties the potentially-affected
@@ -29,7 +27,7 @@ import (
 // game's distance cache.
 //
 // The deletion side's bookkeeping (the affected set and the masked
-// insertions) is epoch-stamped dense scratch, pooled across calls, so
+// insertions) is epoch-stamped dense memory in the caller's Scratch, so
 // its cost is O(affected) array writes with nothing allocated once warm,
 // and a refusal wastes no more than the closure walk it cut short.
 
@@ -41,46 +39,30 @@ func DefaultRepairBudget(n int) int { return 16 + n/4 }
 
 // repairAddBatch repairs dist (valid for g before the added edges were
 // inserted) across the simultaneous insertion of all of them: every
-// improvement any new edge enables seeds one shared wavefront, which then
-// relaxes in priority order exactly as Dijkstra would — so the repaired
-// values are the same left-to-right float path sums a fresh run computes.
-func (g *Graph) repairAddBatch(dist []float64, added []Edge, mark func(x int)) {
-	if mark == nil {
-		mark = func(int) {}
-	}
-	h := getHeap()
-	defer putHeap(h)
+// improvement any new edge enables opens one shared wavefront, which
+// settle relaxes to its fixpoint, the row a fresh run computes.
+func (g *Graph) repairAddBatch(sc *Scratch, dist []float64, added []Edge, mark func(x int), factor int) {
+	sc.beginSettle(g.n)
 	for _, e := range added {
 		if math.IsInf(e.W, 1) {
 			continue
 		}
 		if nd := addF(dist[e.U], e.W); nd < dist[e.V] {
 			dist[e.V] = nd
-			h.push(e.V, nd)
-			mark(e.V)
+			sc.open(e.V)
+			if mark != nil {
+				mark(e.V)
+			}
 		}
 		if nd := addF(dist[e.V], e.W); nd < dist[e.U] {
 			dist[e.U] = nd
-			h.push(e.U, nd)
-			mark(e.U)
-		}
-	}
-	for h.len() > 0 {
-		x, dx := h.pop()
-		if dx > dist[x] {
-			continue
-		}
-		for _, e := range g.adj[x] {
-			if math.IsInf(e.w, 1) {
-				continue
-			}
-			if nd := dx + e.w; nd < dist[e.to] {
-				dist[e.to] = nd
-				h.push(e.to, nd)
-				mark(e.to)
+			sc.open(e.U)
+			if mark != nil {
+				mark(e.U)
 			}
 		}
 	}
+	g.settle(sc, dist, -1, false, mark, factor)
 }
 
 // addF adds a finite weight to a possibly-infinite distance without
@@ -111,25 +93,18 @@ func addF(d, w float64) float64 {
 // phase's affected set exceeds budget, dist is left untouched and ok is
 // false: the caller should recompute the row from scratch.
 //
-// A warm call allocates nothing: the removal phase's bookkeeping lives
-// in a pooled repairScratch.
-func (g *Graph) RepairRowBatch(dist []float64, src int, removed, added []Edge, budget int, mark func(x int)) (ok bool) {
-	var sc *repairScratch
-	if len(removed) > 0 {
-		sc = repairScratches.Get().(*repairScratch)
-		defer repairScratches.Put(sc)
-	}
-	return g.repairRowBatch(sc, dist, src, removed, added, budget, mark)
+// sc is the repair's working memory; a warm call allocates nothing.
+func (g *Graph) RepairRowBatch(sc *Scratch, dist []float64, src int, removed, added []Edge, budget int, mark func(x int)) (ok bool) {
+	return g.repairRowBatch(sc, dist, src, removed, added, budget, mark, settleFactor)
 }
 
-// repairRowBatch is RepairRowBatch with the removal phase's scratch
-// passed in; sc may be nil when nothing is removed.
-func (g *Graph) repairRowBatch(sc *repairScratch, dist []float64, src int, removed, added []Edge, budget int, mark func(x int)) bool {
-	if len(removed) > 0 && !g.repairRemoveBatch(sc, dist, src, removed, added, budget, mark) {
+// repairRowBatch is RepairRowBatch with settle's cap factor passed in.
+func (g *Graph) repairRowBatch(sc *Scratch, dist []float64, src int, removed, added []Edge, budget int, mark func(x int), factor int) bool {
+	if len(removed) > 0 && !g.repairRemoveBatch(sc, dist, src, removed, added, budget, mark, factor) {
 		return false
 	}
 	if len(added) > 0 {
-		g.repairAddBatch(dist, added, mark)
+		g.repairAddBatch(sc, dist, added, mark, factor)
 	}
 	return true
 }
@@ -141,29 +116,10 @@ func pairKey(u, v int) [2]int {
 	return [2]int{u, v}
 }
 
-// repairScratch is the removal phase's bookkeeping. A vertex x is in the
-// affected set, or an endpoint of a masked pair, iff aff[x], or
-// skipEnd[x], equals the current epoch, so starting a repair costs one
-// increment instead of clearing n entries; only when the epoch wraps to
-// 0 are the stamps cleared. affected lists the affected vertices in
-// insertion order (the roots first) and doubles as the closure walk's
-// work list; skip holds the masked pairs.
-type repairScratch struct {
-	epoch    uint32
-	aff      []uint32
-	skipEnd  []uint32
-	affected []int32
-	skip     [][2]int
-}
-
-// repairScratches recycles repair scratch across calls, as heaps does for
-// heaps, so that a warm repair allocates nothing.
-var repairScratches = sync.Pool{New: func() any { return new(repairScratch) }}
-
 // begin starts a repair on an n-vertex graph: it grows the stamps to n
 // if they are shorter, advances the epoch, so every stamp from an
 // earlier repair reads as unset, and masks the added pairs.
-func (sc *repairScratch) begin(n int, added []Edge) {
+func (sc *Scratch) begin(n int, added []Edge) {
 	if len(sc.aff) < n {
 		sc.aff, sc.skipEnd = make([]uint32, n), make([]uint32, n)
 	}
@@ -182,17 +138,17 @@ func (sc *repairScratch) begin(n int, added []Edge) {
 }
 
 // affect adds x to the affected set.
-func (sc *repairScratch) affect(x int) {
+func (sc *Scratch) affect(x int) {
 	sc.aff[x] = sc.epoch
 	sc.affected = append(sc.affected, int32(x))
 }
 
-func (sc *repairScratch) isAffected(x int) bool { return sc.aff[x] == sc.epoch }
+func (sc *Scratch) isAffected(x int) bool { return sc.aff[x] == sc.epoch }
 
 // masked reports whether (x,y) is an added pair, which the removal phase
 // must not see. The pair list is searched only when both endpoints are
 // stamped, which on most edges they are not.
-func (sc *repairScratch) masked(x, y int) bool {
+func (sc *Scratch) masked(x, y int) bool {
 	if sc.skipEnd[x] != sc.epoch || sc.skipEnd[y] != sc.epoch {
 		return false
 	}
@@ -212,15 +168,16 @@ func (sc *repairScratch) masked(x, y int) bool {
 // itself must no longer contain any removed edge. sc holds the
 // bookkeeping: the affected set and the masked pairs are epoch stamps
 // in sc's dense arrays, so the repair costs O(affected) plus the edges
-// it scans, with nothing allocated once sc is warm.
+// it scans, with nothing allocated once sc is warm; factor is settle's
+// cap factor.
 //
 // Only vertices whose every shortest path crossed a removed edge can
 // change; the repair finds that set by walking tight edges
 // (dist[y] == dist[x] + w(x,y)) from every unsupported far endpoint, then
-// recomputes exactly those vertices with a boundary-seeded Dijkstra.
+// re-settles exactly those vertices from their unaffected boundary.
 // If the potentially-affected set exceeds budget, the row is left exactly
 // as it was and ok is false.
-func (g *Graph) repairRemoveBatch(sc *repairScratch, dist []float64, src int, removed, added []Edge, budget int, mark func(x int)) (ok bool) {
+func (g *Graph) repairRemoveBatch(sc *Scratch, dist []float64, src int, removed, added []Edge, budget int, mark func(x int), factor int) (ok bool) {
 	sc.begin(g.n, added)
 	// Roots: endpoints whose distance was supported through a deleted
 	// edge and have no alternative tight support left. If every endpoint
@@ -268,20 +225,20 @@ func (g *Graph) repairRemoveBatch(sc *repairScratch, dist []float64, src int, re
 	}
 
 	// Phase 2: recompute the affected vertices. Seed each from its best
-	// unaffected neighbor (whose distance is proven unchanged), then run
-	// Dijkstra over the wavefront; relaxations into unaffected vertices
-	// can never win (their value is already the minimum) so no guard is
-	// needed beyond the usual strict comparison.
+	// unaffected neighbor (whose distance is proven unchanged) and open
+	// it, then settle the wavefront with the added pairs still masked;
+	// relaxations into unaffected vertices can never win (their value is
+	// already the minimum) so no guard is needed beyond the usual strict
+	// comparison.
 	if mark != nil {
 		for _, x := range sc.affected {
 			mark(int(x))
 		}
 	}
-	h := getHeap()
-	defer putHeap(h)
 	for _, x := range sc.affected {
 		dist[x] = math.Inf(1)
 	}
+	sc.beginSettle(g.n)
 	for _, x32 := range sc.affected {
 		x := int(x32)
 		best := math.Inf(1)
@@ -295,24 +252,10 @@ func (g *Graph) repairRemoveBatch(sc *repairScratch, dist []float64, src int, re
 		}
 		if !math.IsInf(best, 1) {
 			dist[x] = best
-			h.push(x, best)
+			sc.open(x)
 		}
 	}
-	for h.len() > 0 {
-		x, dx := h.pop()
-		if dx > dist[x] {
-			continue
-		}
-		for _, e := range g.adj[x] {
-			if math.IsInf(e.w, 1) || sc.masked(x, e.to) {
-				continue
-			}
-			if nd := dx + e.w; nd < dist[e.to] {
-				dist[e.to] = nd
-				h.push(e.to, nd)
-			}
-		}
-	}
+	g.settle(sc, dist, -1, true, nil, factor)
 	return true
 }
 
@@ -325,7 +268,7 @@ func (g *Graph) repairRemoveBatch(sc *repairScratch, dist []float64, src int, re
 // is conservative: phase 2 recomputes them and lands on the same values
 // whenever the tie was genuine. Pairs masked in sc (inserted after the
 // row's network state) are not remaining edges and never count.
-func (g *Graph) hasStrictSupport(sc *repairScratch, dist []float64, x int) bool {
+func (g *Graph) hasStrictSupport(sc *Scratch, dist []float64, x int) bool {
 	dx := dist[x]
 	for _, e := range g.adj[x] {
 		if math.IsInf(e.w, 1) || dist[e.to] >= dx || sc.masked(x, e.to) {

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -60,7 +61,7 @@ func repairOne(g *Graph, dist []float64, src int, e Edge, add bool, budget int) 
 	if add {
 		removed, added = nil, removed
 	}
-	ok = g.RepairRowBatch(dist, src, removed, added, budget, func(x int) { marked[x] = true })
+	ok = g.RepairRowBatch(new(Scratch), dist, src, removed, added, budget, func(x int) { marked[x] = true })
 	return marked, ok
 }
 
@@ -219,6 +220,7 @@ func TestRepairRowBatchMatchesFreshDijkstra(t *testing.T) {
 				for src := 0; src < n; src++ {
 					rows[src] = g.Dijkstra(src)
 				}
+				sc := new(Scratch) // one scratch across every step and source
 				for step := 0; step < 25; step++ {
 					// Build a random net diff of 1..4 edge flips on
 					// distinct pairs, mutating g accordingly.
@@ -252,7 +254,7 @@ func TestRepairRowBatchMatchesFreshDijkstra(t *testing.T) {
 					for src := 0; src < n; src++ {
 						marked := map[int]bool{}
 						before := append([]float64(nil), rows[src]...)
-						if !g.RepairRowBatch(rows[src], src, removed, added, n+1, func(x int) { marked[x] = true }) {
+						if !g.RepairRowBatch(sc, rows[src], src, removed, added, n+1, func(x int) { marked[x] = true }) {
 							t.Fatalf("seed %d step %d: budget n+1 exceeded on an n-vertex graph", seed, step)
 						}
 						want := g.Dijkstra(src)
@@ -287,11 +289,11 @@ func TestRepairRowBatchBudgetRefusalUntouched(t *testing.T) {
 	g.AddEdge(0, n-1, 1)
 	removed := []Edge{{U: 0, V: 1, W: 1}}
 	added := []Edge{{U: 0, V: n - 1, W: 1}}
-	if g.RepairRowBatch(dist, 0, removed, added, 3, nil) {
+	if g.RepairRowBatch(new(Scratch), dist, 0, removed, added, 3, nil) {
 		t.Fatal("expected budget refusal")
 	}
 	rowsEqualBitwise(t, dist, before, "refused batch must not touch the row")
-	if !g.RepairRowBatch(dist, 0, removed, added, n, nil) {
+	if !g.RepairRowBatch(new(Scratch), dist, 0, removed, added, n, nil) {
 		t.Fatal("budget n should suffice")
 	}
 	rowsEqualBitwise(t, dist, g.Dijkstra(0), "after batch retry with larger budget")
@@ -349,14 +351,14 @@ func repairCaseFromBytes(data []byte) (g *Graph, src, budget int, removed, added
 }
 
 // checkRepair decodes a repair case from data, applies its diff to the
-// graph and repairs the graph's old row through sc, as RepairRowBatch
-// does through a pooled scratch. An accepted repair must be bit for bit
-// the heap loop's row of the graph after the diff, with every entry
-// whose bits changed passed to mark (the game's aggregate maintenance
-// refolds only marked blocks); a refusal over budget must leave the row
+// graph and repairs the graph's old row through sc with settle's cap
+// factor. An accepted repair must be bit for bit the heap loop's row of
+// the graph after the diff, pass certifyRow, and have passed every entry
+// whose bits changed to mark (the game's aggregate maintenance refolds
+// only marked blocks); a refusal over budget must leave the row
 // untouched. With within set, the decoded budget is replaced by n+1, so
 // the repair cannot refuse.
-func checkRepair(t *testing.T, sc *repairScratch, data []byte, within bool, ctx string) {
+func checkRepair(t *testing.T, sc *Scratch, data []byte, within bool, factor int, ctx string) {
 	t.Helper()
 	g, src, budget, removed, added := repairCaseFromBytes(data)
 	if within {
@@ -371,7 +373,7 @@ func checkRepair(t *testing.T, sc *repairScratch, data []byte, within bool, ctx 
 	}
 	dist := append([]float64(nil), before...)
 	marked := make([]bool, len(dist))
-	if !g.repairRowBatch(sc, dist, src, removed, added, budget, func(x int) { marked[x] = true }) {
+	if !g.repairRowBatch(sc, dist, src, removed, added, budget, func(x int) { marked[x] = true }, factor) {
 		if within {
 			t.Fatalf("%s: refused within budget n+1", ctx)
 		}
@@ -379,6 +381,7 @@ func checkRepair(t *testing.T, sc *repairScratch, data []byte, within bool, ctx 
 		return
 	}
 	rowsIdentical(t, dist, refRow(g, src, -1), ctx)
+	certifyRow(t, g, src, -1, dist, ctx)
 	for v := range dist {
 		if math.Float64bits(dist[v]) != math.Float64bits(before[v]) && !marked[v] {
 			t.Fatalf("%s: dist[%d] changed from %v to %v without a mark", ctx, v, before[v], dist[v])
@@ -389,7 +392,9 @@ func checkRepair(t *testing.T, sc *repairScratch, data []byte, within bool, ctx 
 // FuzzRepairRowBatch pins RepairRowBatch to the heap loop (see
 // checkRepair) through a scratch an earlier repair left stamped: the
 // scratch first repairs, within budget, a case on a graph of a different
-// size decoded from the same bytes, then runs the checked repair.
+// size decoded from the same bytes, then runs the checked repair. Each
+// input runs at settle's production cap and at cap factor 0, where every
+// settle that scans an edge finishes in the heap phase.
 func FuzzRepairRowBatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -399,9 +404,12 @@ func FuzzRepairRowBatch(f *testing.F) {
 		}
 		// A leading byte n decodes to 1 + n%24 vertices: n+1, or 1 when
 		// n is 24.
-		sc := new(repairScratch)
-		checkRepair(t, sc, append([]byte{byte(n)}, data...), true, "unrelated repair")
-		checkRepair(t, sc, data, false, "RepairRowBatch")
+		for _, factor := range []int{settleFactor, 0} {
+			sc := new(Scratch)
+			ctx := fmt.Sprintf("factor %d: ", factor)
+			checkRepair(t, sc, append([]byte{byte(n)}, data...), true, factor, ctx+"unrelated repair")
+			checkRepair(t, sc, data, false, factor, ctx+"RepairRowBatch")
+		}
 	})
 }
 
@@ -422,52 +430,63 @@ func repairFixture() (g *Graph, before []float64, removed, added []Edge) {
 	return g, before, removed, added
 }
 
-// TestRepairRowBatchAllocatesNothing: once the pooled scratch and heap are
-// warm, a repair with removals and additions allocates nothing.
+// TestRepairRowBatchAllocatesNothing: once the caller's Scratch is warm,
+// a repair with removals and additions, and a DijkstraInto row, allocate
+// nothing. No pool is involved, so the counts hold under -race too.
 func TestRepairRowBatchAllocatesNothing(t *testing.T) {
 	g, before, removed, added := repairFixture()
+	g.AddEdge(5, 40, 2) // a cycle, so DijkstraInto settles instead of walking
+	added = append(added, Edge{U: 5, V: 40, W: 2})
+	sc := new(Scratch)
 	dist := make([]float64, len(before))
 	marked := make([]bool, len(before))
 	mark := func(x int) { marked[x] = true }
 	repair := func() {
 		copy(dist, before)
-		if !g.RepairRowBatch(dist, 0, removed, added, len(dist), mark) {
+		if !g.RepairRowBatch(sc, dist, 0, removed, added, len(dist), mark) {
 			t.Fatal("repair refused within budget n")
 		}
 	}
 	repair()
 	rowsIdentical(t, dist, refRow(g, 0, -1), "RepairRowBatch")
-	if raceEnabled {
-		return
-	}
 	if allocs := testing.AllocsPerRun(100, repair); allocs != 0 {
 		t.Fatalf("a warm RepairRowBatch allocated %v times per run, want 0", allocs)
 	}
+	if allocs := testing.AllocsPerRun(100, func() { g.DijkstraInto(sc, dist, 7) }); allocs != 0 {
+		t.Fatalf("a warm DijkstraInto allocated %v times per run, want 0", allocs)
+	}
+	rowsIdentical(t, dist, refRow(g, 7, -1), "DijkstraInto")
 }
 
-// TestRepairScratchEpochWrap: a repair that wraps the scratch's epoch to
-// 0 clears the stamps first. They are preset to 1, the epoch after the
-// wrap, so a skipped clear would read every vertex as already affected
-// and leave the row unrepaired.
+// TestRepairScratchEpochWrap: a repair that wraps the scratch's epochs
+// to 0 clears the stamps first. They are preset to 1, the epoch after
+// the wrap, so a skipped clear would read every vertex as already
+// affected and leave the row unrepaired. The repair runs two settles
+// after the wrap (the affected set, then the insertion), so scanEpoch
+// ends on 2.
 func TestRepairScratchEpochWrap(t *testing.T) {
 	g, before, removed, added := repairFixture()
-	sc := &repairScratch{epoch: math.MaxUint32, aff: make([]uint32, g.n), skipEnd: make([]uint32, g.n)}
+	sc := &Scratch{
+		epoch: math.MaxUint32, aff: make([]uint32, g.n), skipEnd: make([]uint32, g.n),
+		scanEpoch: math.MaxUint32, queued: make([]bool, g.n), scanned: make([]uint32, g.n),
+	}
 	for i := range sc.aff {
-		sc.aff[i], sc.skipEnd[i] = 1, 1
+		sc.aff[i], sc.skipEnd[i], sc.scanned[i] = 1, 1, 1
 	}
 	dist := append([]float64(nil), before...)
-	if !g.repairRowBatch(sc, dist, 0, removed, added, g.n, nil) {
+	if !g.RepairRowBatch(sc, dist, 0, removed, added, g.n, nil) {
 		t.Fatal("repair refused within budget n")
 	}
 	rowsIdentical(t, dist, refRow(g, 0, -1), "repair across the epoch wrap")
-	if sc.epoch != 1 {
-		t.Fatalf("epoch after the wrap = %d, want 1", sc.epoch)
+	if sc.epoch != 1 || sc.scanEpoch != 2 {
+		t.Fatalf("epochs after the wrap = %d, %d, want 1, 2", sc.epoch, sc.scanEpoch)
 	}
 }
 
 // TestRepairRowBatchConcurrent: goroutines repairing rows of distinct
-// graphs of distinct sizes at once share the scratch pool, and every
-// repair still equals a fresh Dijkstra. Run it under -race.
+// graphs of distinct sizes at once, each through its own Scratch while
+// their Dijkstra calls share the pool, all equal a fresh Dijkstra. Run
+// it under -race.
 func TestRepairRowBatchConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for k := 0; k < 4; k++ {
@@ -475,6 +494,7 @@ func TestRepairRowBatchConcurrent(t *testing.T) {
 		go func(k int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(900 + k)))
+			sc := new(Scratch)
 			for round := 0; round < 40; round++ {
 				n := 6 + 5*k + rng.Intn(5)
 				g := randRepairGraph(rng, n, "ties")
@@ -494,7 +514,7 @@ func TestRepairRowBatchConcurrent(t *testing.T) {
 						added = append(added, Edge{U: u, V: v, W: w})
 					}
 				}
-				if !g.RepairRowBatch(dist, src, removed, added, n+1, nil) {
+				if !g.RepairRowBatch(sc, dist, src, removed, added, n+1, nil) {
 					t.Errorf("goroutine %d round %d: budget n+1 exceeded on an n-vertex graph", k, round)
 					return
 				}

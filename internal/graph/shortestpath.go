@@ -29,63 +29,51 @@ func (g *Graph) DijkstraAvoiding(src, avoid int) []float64 {
 }
 
 // DijkstraInto is Dijkstra writing into dst, which must have length N(),
-// instead of a new row: callers that fold a row and drop it, such as the
-// game's refused speculative repairs, reuse one buffer.
-func (g *Graph) DijkstraInto(dst []float64, src int) {
+// instead of a new row, with sc as its working memory: callers that fold
+// a row and drop it, such as the game's refused speculative repairs,
+// reuse one buffer and one Scratch and allocate nothing.
+func (g *Graph) DijkstraInto(sc *Scratch, dst []float64, src int) {
 	g.checkVertex(src)
 	if len(dst) != g.n {
 		panic(fmt.Sprintf("graph: DijkstraInto row of length %d on %d vertices", len(dst), g.n))
 	}
-	g.shortestRowInto(dst, src, -1)
+	g.shortestRowInto(sc, dst, src, -1, settleFactor)
 }
 
-// shortestRow is shortestRowInto on a new row.
+// shortestRow is shortestRowInto on a new row, with a pooled Scratch.
 func (g *Graph) shortestRow(src, avoid int) []float64 {
 	dist := make([]float64, g.n)
-	g.shortestRowInto(dist, src, avoid)
+	sc := scratches.Get().(*Scratch)
+	g.shortestRowInto(sc, dist, src, avoid, settleFactor)
+	scratches.Put(sc)
 	return dist
 }
 
 // shortestRowInto is the shortest-path core behind Dijkstra,
 // DijkstraAvoiding and DijkstraInto: it overwrites dist with the
 // distances from src with vertex avoid removed (avoid < 0 removes none).
-// It first tries walkForest, and runs the heap loop only when the walk
-// gives up. The walk is tried only while the edge count still admits a
-// forest (fewer edges than vertices, with avoid and its edges
-// discounted), so a connected network with a cycle never pays for a walk
-// bound to fail.
-func (g *Graph) shortestRowInto(dist []float64, src, avoid int) {
-	h := getHeap()
-	defer putHeap(h)
+// It first tries walkForest, and settles from src (see settle.go) only
+// when the walk gives up. The walk is tried only while the edge count
+// still admits a forest (fewer edges than vertices, with avoid and its
+// edges discounted), so a connected network with a cycle never pays for
+// a walk bound to fail. factor is settle's cap factor.
+func (g *Graph) shortestRowInto(sc *Scratch, dist []float64, src, avoid, factor int) {
 	m, n := g.m, g.n
 	if avoid >= 0 {
 		m, n = m-len(g.adj[avoid]), n-1
 	}
 	if m < n {
 		resetRow(dist, src)
-		stack, ok := g.walkForest(dist, src, avoid, h.vs[:0])
-		h.vs = stack[:0]
+		stack, ok := g.walkForest(dist, src, avoid, sc.list[:0])
+		sc.list = stack[:0]
 		if ok {
 			return
 		}
 	}
 	resetRow(dist, src)
-	h.push(src, 0)
-	for h.len() > 0 {
-		u, du := h.pop()
-		if du > dist[u] {
-			continue
-		}
-		for _, e := range g.adj[u] {
-			if e.to == avoid || math.IsInf(e.w, 1) {
-				continue
-			}
-			if nd := du + e.w; nd < dist[e.to] {
-				dist[e.to] = nd
-				h.push(e.to, nd)
-			}
-		}
-	}
+	sc.beginSettle(g.n)
+	sc.open(src)
+	g.settle(sc, dist, avoid, false, nil, factor)
 }
 
 // resetRow sets dist to +Inf everywhere but dist[src] = 0.
@@ -98,14 +86,14 @@ func resetRow(dist []float64, src int) {
 
 // walkForest fills dist, as left by resetRow, by one depth-first walk of
 // src's component, setting dist[v] = dist[parent] + w. On a tree that is
-// the one path sum the heap loop forms, added left to right in the same
-// order, so the row is bit-identical. As in the heap loop, +Inf edges and edges into avoid are
-// absent. A finite dist marks a vertex as reached, so the walk reports
-// false, leaving dist part-filled, on the first edge to a reached vertex
-// other than the walk parent (the component has a cycle) and on the first
-// sum that is not below +Inf (an overflow, which the heap leaves
-// unreached). The DFS stack holds (vertex, parent) pairs; it is built on
-// the passed buffer and returned for reuse.
+// the one path sum any shortest-path loop forms, added left to right in
+// the same order, so the row is bit-identical. As in settle, +Inf edges
+// and edges into avoid are absent. A finite dist marks a vertex as
+// reached, so the walk reports false, leaving dist part-filled, on the
+// first edge to a reached vertex other than the walk parent (the
+// component has a cycle) and on the first sum that is not below +Inf (an
+// overflow, which settle leaves unreached). The DFS stack holds (vertex,
+// parent) pairs; it is built on the passed buffer and returned for reuse.
 func (g *Graph) walkForest(dist []float64, src, avoid int, stack []int32) ([]int32, bool) {
 	inf := math.Inf(1)
 	stack = append(stack, int32(src), -1)
@@ -122,7 +110,7 @@ func (g *Graph) walkForest(dist []float64, src, avoid int, stack []int32) ([]int
 			}
 			nd := du + e.w
 			if !(nd < inf) {
-				return stack, false // overflow: the heap loop leaves e.to unreached
+				return stack, false // overflow: settle leaves e.to unreached
 			}
 			dist[e.to] = nd
 			stack = append(stack, int32(e.to), int32(u))
@@ -132,7 +120,7 @@ func (g *Graph) walkForest(dist []float64, src, avoid int, stack []int32) ([]int
 }
 
 // APSP returns the all-pairs shortest-path matrix, computed with one
-// Dijkstra per source in parallel.
+// Dijkstra per source in parallel, each on a pooled Scratch.
 func (g *Graph) APSP() [][]float64 {
 	return parallel.Map(g.n, func(src int) []float64 { return g.Dijkstra(src) })
 }
