@@ -6,9 +6,7 @@ import (
 	"gncg/internal/dynamics"
 	"gncg/internal/game"
 	"gncg/internal/gen"
-	"gncg/internal/graph"
-	"gncg/internal/metric"
-	"gncg/internal/parallel"
+	"gncg/internal/opt"
 	"gncg/internal/report"
 	"gncg/internal/sweep"
 )
@@ -24,11 +22,12 @@ import (
 // a dedicated step outside the sharded determinism drill — so its tags
 // deliberately match none of the nightly's other -run selections.
 //
-// The certified OPT lower bound α·MST(H) + Σ_{u≠v} d_H(u,v) is computed
-// by host-specific O(n²)-or-better routines below instead of
-// opt.LowerBound, whose generic Prim pass over Host.Weight (an interface
-// call, an O(1) LCA query on tree hosts) prices a 10⁵-vertex cell in
-// tens of minutes on its own.
+// The certified OPT lower bound α·MST(H) + Σ_{u≠v} d_H(u,v) is
+// opt.LowerBound's, taken after the dynamics as in the equilibrium
+// ladder: by then the scans have cached every agent's host-floor row on
+// the Game, so the distance term is an O(n) fold, and the MST term is
+// the defining tree's edge sum on tree hosts (metric.MSTWeighter) and an
+// O(n²) Prim pass over the points on ℓ2 hosts.
 
 // xlSampleFull / xlSampleHuge size the deterministic exact-oracle spot
 // check of the reached state: 48 agents (matching the equilibrium
@@ -55,9 +54,9 @@ func registerEquilibriumXL() {
 			"exact_sample_ne re-checks a deterministic sample of non-center agents " +
 			"against the unpruned exact oracle — the star center, owning n-1 edges, " +
 			"would cost a Θ(n²) exact swap scan and is covered by the certified tier. " +
-			"opt_lb uses host-specific O(n²) closed forms (tree closures: the defining " +
-			"tree is an MST of its own closure, and per-edge cut counting folds the " +
-			"distance sum in O(n)).",
+			"opt_lb is opt.LowerBound: the distance term folds the host-floor rows the " +
+			"scans cached, and the MST term is the defining tree's edge sum on tree " +
+			"hosts (it is an MST of its own closure) and a Prim pass on l2 hosts.",
 		Tags: []string{"xl"},
 		Space: func(quick bool) sweep.Space {
 			ns := sweep.Ints("n", 25000, 50000, 100000)
@@ -76,25 +75,18 @@ func registerEquilibriumXL() {
 			n := p.Int("n")
 			class := p.Str("host")
 			var (
-				h             *game.Host
-				alpha         float64
-				mstW, distSum float64
+				h     *game.Host
+				alpha float64
 			)
 			switch class {
 			case "l2":
-				ps := gen.Points(13, n, 2, 1000, 2)
-				h, alpha = game.NewHost(ps), 16*float64(n)
-				mstW, distSum = l2MSTWeight(ps.Coords), l2DistanceSum(ps.Coords)
+				h, alpha = game.NewHost(gen.Points(13, n, 2, 1000, 2)), 16*float64(n)
 			case "tree":
-				tm := gen.Tree(13, n, 1, 6)
-				h, alpha = game.NewHost(tm), float64(n)
-				edges := tm.Edges()
-				mstW, distSum = edgeWeightSum(edges), treeClosureDistanceSum(n, edges)
+				h, alpha = game.NewHost(gen.Tree(13, n, 1, 6)), float64(n)
 			default:
 				panic(fmt.Sprintf("unknown equilibrium_xl host class %q", class))
 			}
 			g := game.New(h, alpha)
-			lb := g.Rules().SpanningEdgeCostLB(alpha, mstW, n) + distSum
 			s := game.NewState(g, game.StarProfile(n, 0))
 			res := dynamics.RunToConvergence(s, dynamics.GreedyMover, dynamics.RoundRobin{}, ladderBudget(n))
 			// Scan telemetry of the convergence run alone: verification
@@ -102,6 +94,7 @@ func registerEquilibriumXL() {
 			// never folded into s, and the exact-oracle sample runs
 			// unpruned scans, which never count.
 			scan := s.ScanStats()
+			lb := opt.LowerBound(g)
 
 			verification, haveVerification := dynamics.VerifyConvergence(
 				res, s, game.VerifyOptions{})
@@ -137,126 +130,4 @@ func registerEquilibriumXL() {
 			return []sweep.Record{sweep.R(kv...)}
 		},
 	})
-}
-
-// l2MSTWeight is opt.metricMSTWeight specialized to raw ℓ2 coordinates:
-// Prim with an O(n) frontier array, O(n²) distance evaluations with no
-// interface dispatch. Deterministic — minimum-key vertex by lowest index
-// on ties, weights folded in insertion order.
-func l2MSTWeight(coords [][]float64) float64 {
-	n := len(coords)
-	if n <= 1 {
-		return 0
-	}
-	inTree := make([]bool, n)
-	key := make([]float64, n)
-	for v := 1; v < n; v++ {
-		key[v] = metric.PNormDist(coords[0], coords[v], 2)
-	}
-	inTree[0] = true
-	total := 0.0
-	for round := 1; round < n; round++ {
-		best := -1
-		for v := 0; v < n; v++ {
-			if !inTree[v] && (best < 0 || key[v] < key[best]) {
-				best = v
-			}
-		}
-		inTree[best] = true
-		total += key[best]
-		cb := coords[best]
-		for v := 0; v < n; v++ {
-			if !inTree[v] {
-				if w := metric.PNormDist(cb, coords[v], 2); w < key[v] {
-					key[v] = w
-				}
-			}
-		}
-	}
-	return total
-}
-
-// l2DistanceSum returns Σ_{u≠v} ||c_u − c_v||₂ over ordered pairs,
-// parallel over rows with a deterministic fold.
-func l2DistanceSum(coords [][]float64) float64 {
-	n := len(coords)
-	return parallel.Reduce(n, 0.0,
-		func(u int) float64 {
-			row := 0.0
-			cu := coords[u]
-			for v := 0; v < n; v++ {
-				if v != u {
-					row += metric.PNormDist(cu, coords[v], 2)
-				}
-			}
-			return row
-		},
-		func(a, b float64) float64 { return a + b })
-}
-
-// edgeWeightSum returns Σ_e w_e — for a tree metric this IS the MST
-// weight of the complete closure graph: every closure edge (u,v) weighs
-// the full u–v path, so by the cut property no tree edge can be beaten.
-func edgeWeightSum(edges []graph.Edge) float64 {
-	total := 0.0
-	for _, e := range edges {
-		total += e.W
-	}
-	return total
-}
-
-// treeClosureDistanceSum returns Σ_{u≠v} d_T(u,v) over ordered pairs in
-// O(n): each tree edge e lies on the path of exactly cnt_e·(n−cnt_e)
-// unordered pairs, where cnt_e is the vertex count on its child side.
-func treeClosureDistanceSum(n int, edges []graph.Edge) float64 {
-	head := make([]int32, n+1)
-	for _, e := range edges {
-		head[e.U+1]++
-		head[e.V+1]++
-	}
-	for v := 0; v < n; v++ {
-		head[v+1] += head[v]
-	}
-	to := make([]int32, 2*len(edges))
-	ew := make([]float64, 2*len(edges))
-	next := append([]int32(nil), head[:n]...)
-	for _, e := range edges {
-		to[next[e.U]], ew[next[e.U]] = int32(e.V), e.W
-		next[e.U]++
-		to[next[e.V]], ew[next[e.V]] = int32(e.U), e.W
-		next[e.V]++
-	}
-	parent := make([]int32, n)
-	parentW := make([]float64, n)
-	order := make([]int32, 0, n)
-	seen := make([]bool, n)
-	parent[0], seen[0] = -1, true
-	stack := append(make([]int32, 0, 64), 0)
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		order = append(order, v)
-		for e := head[v]; e < head[v+1]; e++ {
-			c := to[e]
-			if !seen[c] {
-				seen[c] = true
-				parent[c], parentW[c] = v, ew[e]
-				stack = append(stack, c)
-			}
-		}
-	}
-	// order places every parent before its children; the reverse walk
-	// accumulates subtree sizes bottom-up.
-	size := make([]int64, n)
-	total := 0.0
-	for i := n - 1; i >= 0; i-- {
-		v := order[i]
-		size[v]++
-		if p := parent[v]; p >= 0 {
-			size[p] += size[v]
-			cnt := float64(size[v])
-			total += 2 * parentW[v] * cnt * (float64(n) - cnt)
-		}
-	}
-	return total
 }

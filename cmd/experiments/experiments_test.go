@@ -313,6 +313,65 @@ func TestGoldenQuickSweep(t *testing.T) {
 	}
 }
 
+// TestGoldenLowerBoundsCertify checks the certificate property of every
+// opt_lb in both golden files: a certified OPT lower bound is positive
+// and never exceeds the social cost of the state it bounds (whose OPT it
+// undershoots), up to float noise — so every poa_vs_lb is at least 1.
+func TestGoldenLowerBoundsCertify(t *testing.T) {
+	quick, err := os.ReadFile(filepath.Join("testdata", "golden_quick.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := sweep.DecodeJSON(bytes.NewReader(quick))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := rs.Cells
+	full, err := os.ReadFile(filepath.Join("testdata", "golden_full_cells.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range bytes.Split(bytes.TrimSuffix(full, []byte("\n")), []byte("\n")) {
+		c, err := sweep.DecodeCellJSON(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells = append(cells, c)
+	}
+	number := func(v any) float64 {
+		switch x := v.(type) {
+		case int:
+			return float64(x)
+		case float64:
+			return x
+		}
+		t.Fatalf("non-numeric value %v", v)
+		return 0
+	}
+	checked := 0
+	for _, c := range cells {
+		for _, r := range c.Records {
+			lbv, ok := r.Get("opt_lb")
+			if !ok {
+				continue
+			}
+			costv, ok := r.Get("social_cost")
+			if !ok {
+				t.Fatalf("%s cell %d: opt_lb without social_cost", c.Experiment, c.Seq)
+			}
+			lb, cost := number(lbv), number(costv)
+			if !(lb > 0 && lb <= cost*(1+1e-12)) {
+				t.Errorf("%s cell %d: opt_lb %v, social_cost %v: want 0 < opt_lb <= social_cost", c.Experiment, c.Seq, lb, cost)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no golden record carries opt_lb")
+	}
+	t.Logf("%d golden records certify", checked)
+}
+
 // goldenFullCells are the full-mode convergence cells pinned by
 // TestGoldenFullCells: the exact-verify and sampled branches of the
 // equilibrium ladder, and both host classes of equilibrium_xl. The n

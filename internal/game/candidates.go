@@ -5,6 +5,7 @@ import (
 
 	"gncg/internal/bitset"
 	"gncg/internal/metric"
+	"gncg/internal/parallel"
 )
 
 // This file is the geometric fast path of the best-response scan: the
@@ -172,6 +173,19 @@ func (g *Game) trafficFloorSum(u int) float64 {
 	}
 	g.floorMu.Unlock()
 	return sum
+}
+
+// TrafficFloorTotal returns Σ_{u≠v} t(u,v)·w(u,v) over ordered pairs:
+// the traffic-weighted host floor under the whole distance cost, and so,
+// on a metric host (where every network distance is at least the host
+// weight), a lower bound on any profile's total distance cost. It folds
+// the per-agent floor sums the excess certificate caches, in
+// parallel.Reduce's fixed order, so it is deterministic and costs O(n)
+// once every agent has been scanned. Under uniform traffic each row is
+// the plain host row sum (t·w = w for t = 1).
+func (g *Game) TrafficFloorTotal() float64 {
+	return parallel.Reduce(g.N(), 0.0, g.trafficFloorSum,
+		func(a, b float64) float64 { return a + b })
 }
 
 // excessRulesOutAcquisitions is the sort-free fast tier of the

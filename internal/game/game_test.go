@@ -96,7 +96,7 @@ func TestDisconnectedCostIsInf(t *testing.T) {
 }
 
 // TestSocialCostDecomposition: Σ_u cost(u) == TotalEdgeCost + TotalDistCost
-// and TotalDistCost == network.SumDistances on random states.
+// and TotalDistCost == graph.SumDistances on random states.
 func TestSocialCostDecomposition(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -114,7 +114,8 @@ func TestSocialCostDecomposition(t *testing.T) {
 		if math.Abs(perAgent-social) > 1e-6 {
 			return false
 		}
-		return math.Abs(s.TotalDistCost()-s.Network().SumDistances()) < 1e-6
+		dist, unreached := graph.SumDistances(0, s.Network().APSP(), nil)
+		return unreached == 0 && math.Abs(s.TotalDistCost()-dist) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

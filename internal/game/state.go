@@ -205,7 +205,7 @@ func (s *State) Connected() bool { return s.net.Connected() }
 // on game g assuming single ownership per edge (the relevant case for
 // social optimum candidates): each edge contributes the model's marginal
 // price — α·w under the default SumRules, giving α·Σw(e) — plus
-// Σ_ordered pairs d(u,v).
+// Σ_{ordered pairs} t(u,v)·d(u,v) under the game's demand.
 func SocialCostOfEdgeSet(g *Game, edges []graph.Edge) float64 {
 	net := graph.New(g.N())
 	r := g.Rules()
@@ -217,7 +217,11 @@ func SocialCostOfEdgeSet(g *Game, edges []graph.Edge) float64 {
 			total += r.AcquirePrice(g.Alpha, w)
 		}
 	}
-	return total + net.SumDistances()
+	dist, unreached := graph.SumDistances(0, net.APSP(), g.traffic)
+	if unreached > 0 {
+		dist = math.Inf(1)
+	}
+	return total + dist
 }
 
 // ProfileFromEdgeSet turns an undirected edge set into a profile with a

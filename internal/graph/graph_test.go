@@ -240,8 +240,17 @@ func TestSumDistances(t *testing.T) {
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 2, 1)
 	// ordered pairs: (0,1)=1 (1,0)=1 (1,2)=1 (2,1)=1 (0,2)=2 (2,0)=2 => 8
-	if got := g.SumDistances(); got != 8 {
-		t.Fatalf("SumDistances = %v, want 8", got)
+	if got, unreached := SumDistances(0, g.APSP(), nil); got != 8 || unreached != 0 {
+		t.Fatalf("SumDistances = %v (%d unreached), want 8", got, unreached)
+	}
+	// Demand weighs each ordered pair; a zero-demand pair adds nothing,
+	// even unreached. Vertex 3 is isolated: only 0 → 3 carries demand.
+	d := New(4)
+	d.AddEdge(0, 1, 1)
+	d.AddEdge(1, 2, 1)
+	t3 := [][]float64{{0, 2, 0.5, 1}, {0, 0, 0, 0}, {3, 0, 0, 0}, {0, 0, 0, 0}}
+	if got, unreached := SumDistances(1, d.APSP(), t3); got != 1+2+1+6 || unreached != 1 {
+		t.Fatalf("weighted SumDistances = %v (%d unreached), want 10 (1 unreached)", got, unreached)
 	}
 }
 

@@ -274,18 +274,31 @@ func (g *Graph) IsTree() bool {
 	return g.Connected() && g.M() == g.n-1
 }
 
-// SumDistances returns the sum over ordered pairs (u,v), u != v, of
-// d(u,v); +Inf if disconnected.
-func (g *Graph) SumDistances() float64 {
-	rows := g.APSP()
-	total := 0.0
-	for i, row := range rows {
-		for j, d := range row {
-			if i == j {
+// SumDistances adds the demand-weighted distance cost
+// Σ_{u≠v} t[u][v]·d[u][v] of the all-pairs matrix d to total, one entry
+// at a time in row-major order. t = nil is uniform demand 1: the plain
+// ordered-pair distance sum, bit for bit. A pair without demand adds an
+// exact 0 even at d = +Inf (the zero-demand rule of the game's per-agent
+// distance cost); a pair with demand at d = +Inf is left out of sum and
+// counted in unreached, so the cost is +Inf exactly when unreached > 0.
+func SumDistances(total float64, d, t [][]float64) (sum float64, unreached int) {
+	for u, row := range d {
+		for v, duv := range row {
+			if u == v {
 				continue
 			}
-			total += d
+			w := 1.0
+			if t != nil {
+				if w = t[u][v]; w == 0 {
+					continue
+				}
+			}
+			if math.IsInf(duv, 1) {
+				unreached++
+				continue
+			}
+			total += w * duv
 		}
 	}
-	return total
+	return total, unreached
 }

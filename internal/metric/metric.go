@@ -18,6 +18,8 @@
 //     without touching +Inf entries ({1,∞} hosts).
 //   - Dense: the space already holds a dense matrix, so densification can
 //     reuse it instead of copying (matrix-backed spaces).
+//   - MSTWeighter: the space knows the weight of a minimum spanning tree
+//     of its complete graph in closed form (tree metrics).
 //
 // ClassifySpace and IsMetricSpace consult these capabilities and fall back
 // to the dense validators (Classify, IsMetric) otherwise.
@@ -71,6 +73,14 @@ type FinitePairer interface {
 // than copying it, so callers must treat it as immutable.
 type Dense interface {
 	DenseMatrix() [][]float64
+}
+
+// MSTWeighter is the closed-form spanning-tree capability: a space that
+// knows the weight of a minimum spanning tree of its complete graph
+// without pricing its pairs, where the general answer is an O(n²) Prim
+// pass over Dist.
+type MSTWeighter interface {
+	MSTWeight() float64
 }
 
 // ClassifySpace returns the space's model class, using the Classifier

@@ -109,6 +109,19 @@ func (tm *TreeMetric) Edges() []graph.Edge {
 	return append([]graph.Edge(nil), tm.edges...)
 }
 
+// MSTWeight returns the defining tree's edge-weight sum (MSTWeighter
+// capability). Every closure edge (u,v) weighs the whole u–v tree path,
+// so no pair across a tree edge's cut is lighter than that edge, and by
+// the cut property the defining tree is a minimum spanning tree of its
+// own closure (the paper's Cor. 3: it is the social optimum).
+func (tm *TreeMetric) MSTWeight() float64 {
+	total := 0.0
+	for _, e := range tm.edges {
+		total += e.W
+	}
+	return total
+}
+
 // Class reports ClassMetric: shortest-path closures of non-negative trees
 // are metrics (Classifier capability). This is the class guaranteed by
 // construction; a degenerate tree (e.g. a unit-weight star, whose closure

@@ -96,6 +96,7 @@ func ExactSmall(g *game.Game) (Result, error) {
 	}
 	m := len(pairs)
 	rules := g.Rules()
+	t := demand(g)
 	// Split the 2^m masks across workers by the top bits.
 	const splitBits = 6
 	split := splitBits
@@ -135,7 +136,7 @@ func ExactSmall(g *game.Game) (Result, error) {
 			if edgeCost >= best.Cost {
 				continue
 			}
-			total := edgeCost + floydDistSum(w, n)
+			total := edgeCost + floydDistCost(w, t)
 			if total < best.Cost {
 				var edges []graph.Edge
 				for b := 0; b < m; b++ {
@@ -158,9 +159,29 @@ func ExactSmall(g *game.Game) (Result, error) {
 	return best, nil
 }
 
-// floydDistSum runs Floyd–Warshall in place on w and returns the sum of
-// distances over ordered pairs (+Inf if disconnected).
-func floydDistSum(w [][]float64, n int) float64 {
+// demand reads g's traffic into a local n×n matrix, nil under the
+// paper's uniform model: the evaluators read it once per call, so their
+// inner loops make no per-pair Traffic call.
+func demand(g *game.Game) [][]float64 {
+	if !g.HasTraffic() {
+		return nil
+	}
+	n := g.N()
+	t := make([][]float64, n)
+	for u := range t {
+		t[u] = make([]float64, n)
+		for v := range t[u] {
+			t[u][v] = g.Traffic(u, v)
+		}
+	}
+	return t
+}
+
+// floydDistCost runs Floyd–Warshall in place on w and returns the
+// distance cost Σ_{u≠v} t(u,v)·d(u,v) over ordered pairs (+Inf if a
+// pair with demand is disconnected).
+func floydDistCost(w, t [][]float64) float64 {
+	n := len(w)
 	for k := 0; k < n; k++ {
 		wk := w[k]
 		for i := 0; i < n; i++ {
@@ -176,13 +197,9 @@ func floydDistSum(w [][]float64, n int) float64 {
 			}
 		}
 	}
-	total := 0.0
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				total += w[i][j]
-			}
-		}
+	total, unreached := graph.SumDistances(0, w, t)
+	if unreached > 0 {
+		return math.Inf(1)
 	}
 	return total
 }
@@ -215,11 +232,12 @@ func CompleteCandidate(g *game.Game) Result {
 	return Evaluate(g, Result{Edges: edges})
 }
 
-// lexSocial evaluates an edge set as (number of disconnected ordered
-// pairs, finite social cost part). The lexicographic order lets local
-// search escape disconnected candidates, where plain +Inf comparison
-// would see no improvement from a single edge addition.
-func lexSocial(g *game.Game, edges []graph.Edge) (infPairs int, finite float64) {
+// lexSocial evaluates an edge set under demand t as (number of
+// disconnected ordered pairs with demand, finite social cost part). The
+// lexicographic order lets local search escape disconnected candidates,
+// where plain +Inf comparison would see no improvement from a single
+// edge addition.
+func lexSocial(g *game.Game, t [][]float64, edges []graph.Edge) (infPairs int, finite float64) {
 	net := graph.New(g.N())
 	r := g.Rules()
 	for _, e := range edges {
@@ -229,15 +247,7 @@ func lexSocial(g *game.Game, edges []graph.Edge) (infPairs int, finite float64) 
 			finite += r.AcquirePrice(g.Alpha, w)
 		}
 	}
-	for _, row := range net.APSP() {
-		for _, d := range row {
-			if math.IsInf(d, 1) {
-				infPairs++
-			} else {
-				finite += d
-			}
-		}
-	}
+	finite, infPairs = graph.SumDistances(finite, net.APSP(), t)
 	return infPairs, finite
 }
 
@@ -282,7 +292,8 @@ func LocalSearch(g *game.Game, start []graph.Edge, eps float64, maxIters int) Re
 		}
 		return out
 	}
-	curInf, curCost := lexSocial(g, edgesOf())
+	t := demand(g)
+	curInf, curCost := lexSocial(g, t, edgesOf())
 	for iter := 0; iter < maxIters; iter++ {
 		bestInf, bestCost := curInf, curCost
 		var bestKey [2]int
@@ -296,7 +307,7 @@ func LocalSearch(g *game.Game, start []graph.Edge, eps float64, maxIters int) Re
 				}
 			}
 			toggle()
-			ci, cf := lexSocial(g, edgesOf())
+			ci, cf := lexSocial(g, t, edgesOf())
 			toggle()
 			if lexLess(ci, cf, bestInf, bestCost, eps) {
 				bestInf, bestCost = ci, cf
@@ -323,37 +334,77 @@ func LocalSearch(g *game.Game, start []graph.Edge, eps float64, maxIters int) Re
 }
 
 // LowerBound returns a certified lower bound on the social optimum cost:
-// any connected spanning subgraph has edge weight at least MST(H), and
-// every pairwise distance is at least the host's shortest-path distance,
-// so cost(OPT) >= α·MST + Σ_{ordered pairs} d_H(u,v) under the paper's
-// model. The edge-side term goes through the cost model's
-// SpanningEdgeCostLB hook, so the bound stays certified per model:
-// α·MST for sum, α·(n−1) for unit (≥ n−1 edges at flat price), 0 for
-// budget (edges are free there, leaving the distance side as the whole
-// bound).
+// when the pairs with demand connect every agent, OPT is a connected
+// spanning subgraph, whose edge weight is at least MST(H); and every
+// network distance is at least the host's shortest-path distance, so
+// cost(OPT) >= α·MST + Σ_{ordered pairs} t(u,v)·d_H(u,v) under the
+// paper's model with the game's demand t. The edge-side term goes
+// through the cost model's SpanningEdgeCostLB hook, so the bound stays
+// certified per model: α·MST for sum, α·(n−1) for unit (≥ n−1 edges at
+// flat price), 0 for budget (edges are free there, leaving the distance
+// side as the whole bound). A demand matrix whose support leaves some
+// agent apart lets OPT leave it unattached, and the bound is the
+// distance side alone.
 //
 // Metric hosts — including every implicit geometric/tree/1-2 space,
 // answered in O(1) via the Classifier capability — compute matrix-free:
-// d_H = w pointwise, the MST weight comes from an O(n) Prim scan over
-// implicit weights, and the pair sum folds deterministically in parallel.
-// O(n²) time, O(n) memory: the path the equilibrium ladder's PoA column
-// takes at n = 10⁴, where materializing the complete host graph (the
-// general fallback below) would cost gigabytes.
+// d_H = w pointwise, so the distance term is the Game's TrafficFloorTotal
+// (O(n) once scans have cached each agent's floor row, O(n²) weight
+// evaluations otherwise), and the MST weight comes from the space's
+// metric.MSTWeighter capability when it has one (tree metrics: the
+// defining tree's edge sum) and from an O(n²) Prim scan over implicit
+// weights otherwise. O(n) memory: the path the equilibrium ladders' PoA
+// columns take at n = 10⁵, where materializing the complete host graph
+// (the general fallback below) would cost gigabytes.
 func LowerBound(g *game.Game) float64 {
-	r := g.Rules()
+	spans := demandSpans(g)
 	if g.Host.IsMetric(1e-9) {
-		return r.SpanningEdgeCostLB(g.Alpha, metricMSTWeight(g.Host), g.N()) + hostDistanceSum(g.Host)
+		dist := g.TrafficFloorTotal()
+		if !spans {
+			return dist
+		}
+		return g.Rules().SpanningEdgeCostLB(g.Alpha, metricMSTWeight(g.Host), g.N()) + dist
 	}
 	full := hostGraph(g)
+	dist, unreached := graph.SumDistances(0, full.APSP(), demand(g))
+	if unreached > 0 {
+		dist = math.Inf(1)
+	}
+	if !spans {
+		return dist
+	}
 	_, mstW := full.MST()
-	return r.SpanningEdgeCostLB(g.Alpha, mstW, g.N()) + full.SumDistances()
+	return g.Rules().SpanningEdgeCostLB(g.Alpha, mstW, g.N()) + dist
 }
 
-// metricMSTWeight computes the MST weight of the complete host by Prim's
-// algorithm with an O(n) frontier array: O(n²) weight evaluations, no
-// materialized edges. Deterministic: the minimum-key vertex is chosen by
-// lowest index on ties and the weight folds in insertion order.
+// demandSpans reports whether the pairs with positive demand connect
+// every agent: always under the paper's uniform demand.
+func demandSpans(g *game.Game) bool {
+	if !g.HasTraffic() {
+		return true
+	}
+	n := g.N()
+	support := graph.New(n)
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if g.Traffic(u, v) > 0 || g.Traffic(v, u) > 0 {
+				support.AddEdge(u, v, 1)
+			}
+		}
+	}
+	return support.Connected()
+}
+
+// metricMSTWeight returns the MST weight of the complete host: the
+// space's closed form when it has the MSTWeighter capability, otherwise
+// Prim's algorithm with an O(n) frontier array: O(n²) weight
+// evaluations, no materialized edges. Deterministic: the minimum-key
+// vertex is chosen by lowest index on ties and the weight folds in
+// insertion order.
 func metricMSTWeight(h *game.Host) float64 {
+	if mw, ok := h.Space().(metric.MSTWeighter); ok {
+		return mw.MSTWeight()
+	}
 	n := h.N()
 	if n <= 1 {
 		return 0
@@ -383,24 +434,6 @@ func metricMSTWeight(h *game.Host) float64 {
 		}
 	}
 	return total
-}
-
-// hostDistanceSum returns Σ over ordered pairs of w(u,v) — the metric
-// host's exact pairwise-distance sum — folded in the fixed parallel
-// reduction order so results are byte-deterministic.
-func hostDistanceSum(h *game.Host) float64 {
-	n := h.N()
-	return parallel.Reduce(n, 0.0,
-		func(u int) float64 {
-			row := 0.0
-			for v := 0; v < n; v++ {
-				if v != u {
-					row += h.Weight(u, v)
-				}
-			}
-			return row
-		},
-		func(a, b float64) float64 { return a + b })
 }
 
 // BestCandidate evaluates several heuristics (MST, complete graph, local

@@ -116,7 +116,9 @@ func SocialOptimumExact(g *Game) (OptimumCandidate, error) { return opt.ExactSma
 func SocialOptimumHeuristic(g *Game) OptimumCandidate { return opt.BestCandidate(g, 400) }
 
 // SocialOptimumLowerBound returns the certified lower bound
-// α·MST(H) + Σ_{u,v} d_H(u,v) on the social optimum cost.
+// α·MST(H) + Σ_{u,v} t(u,v)·d_H(u,v) on the social optimum cost, with t
+// the game's demand (the edge term drops when the demand leaves some
+// agent apart).
 func SocialOptimumLowerBound(g *Game) float64 { return opt.LowerBound(g) }
 
 // Algorithm1 computes the social optimum of a 1-2 host for α <= 1 by the
