@@ -94,21 +94,30 @@ func (s *State) Apply(m Move) {
 }
 
 // CostAfter evaluates the mover's cost after the move without changing
-// the state. It prices the new strategy directly, so it never writes the
-// profile, and it never writes the distance cache: the mover's distance
-// cost comes from a scratch repair of its current row across the move's
-// edge flips (speculativeDistCost), so every row current before the call
-// is current, and bit for bit the same, after it. A malformed move
-// panics before anything is touched.
+// the state: the model's StrategyCost of the new strategy plus the
+// distance part from distAfter. It prices the new strategy directly, so
+// it never writes the profile, and it never writes the distance cache.
+// A malformed move panics before anything is touched.
 func (s *State) CostAfter(m Move) float64 {
+	next, dist := s.distAfter(m)
+	return s.G.Rules().StrategyCost(s.G, m.Agent, next) + dist
+}
+
+// distAfter returns the strategy move m gives its agent and the agent's
+// distance cost after the move: the current DistCost when the move only
+// changes ownership, else a scratch repair of the agent's current row
+// across the move's edge flips (speculativeDistCost), so every row
+// current before the call is current, and bit for bit the same, after
+// it. It is CostAfter without the edge part, which scanMoves skips when
+// the distance part alone is +Inf.
+func (s *State) distAfter(m Move) (next bitset.Set, dist float64) {
 	u := m.Agent
-	next := m.NewStrategy(s.P.S[u])
+	next = m.NewStrategy(s.P.S[u])
 	flips := s.strategyFlips(u, s.P.S[u], next)
-	edge := s.G.Rules().StrategyCost(s.G, u, next)
 	if len(flips) == 0 {
-		return edge + s.DistCost(u) // ownership only: every distance is intact
+		return next, s.DistCost(u) // ownership only: every distance is intact
 	}
-	return edge + s.speculativeDistCost(u, flips)
+	return next, s.speculativeDistCost(u, flips)
 }
 
 // CandidateMoves enumerates every legal single-edge move for agent u in
@@ -216,6 +225,13 @@ func (s *State) bestSingleMove(u int, prune bool) (best Move, cost float64, ok b
 // nil skips nothing). It returns the first move attaining the minimum
 // cost, or (Move{}, cur, false) when no move strictly improves on the
 // current cost cur.
+//
+// Each candidate is priced as CostAfter prices it, distance part first:
+// a move whose distance part is +Inf (one that leaves the mover cut off
+// from a node it has demand towards) skips the model's StrategyCost
+// fold, since edge + Inf is +Inf or NaN and neither passes c < cost.
+// Each of the star centre's deletes is such a move; folding its strategy
+// would price every remaining owned weight only to produce +Inf.
 func (s *State) scanMoves(u int, cur float64, pb *moveBounds, targets []int) (best Move, cost float64, ok bool) {
 	cost = cur
 	owned := s.P.S[u]
@@ -224,7 +240,11 @@ func (s *State) scanMoves(u int, cur float64, pb *moveBounds, targets []int) (be
 		if !r.MoveFeasible(s.G, owned, m) {
 			return
 		}
-		if c := s.CostAfter(m); c < cost {
+		next, dist := s.distAfter(m)
+		if math.IsInf(dist, 1) {
+			return
+		}
+		if c := r.StrategyCost(s.G, u, next) + dist; c < cost {
 			cost = c
 			best = m
 		}

@@ -14,13 +14,15 @@ import (
 // parallel — each agent's check is a pure function of the frozen state —
 // and certificate-driven: an agent whose best possible single-move
 // improvement is provably <= the strict-improvement tolerance is skipped
-// without running its O(n·|S_u|) candidate scan at all.
+// without running its O(n·|S_u|) candidate scan at all. The verifier
+// stops an agent's certificate at the first candidate that proves it
+// cannot rule acquisitions out, since that agent is rescanned anyway.
 
 // GainCertificate is an upper bound on what any single *acquiring* move
 // (a buy, or the bought half of a swap) can gain agent u, derived from
 // u's current distance row and the network triangle inequality — the
-// moveBounds machinery behind the pruned scan, evaluated once over every
-// candidate instead of per scanned candidate.
+// moveBounds machinery behind the pruned scan, evaluated in one pass over
+// the candidates instead of per scanned candidate.
 //
 // For each non-owned candidate x with host weight w = w(u,x), the
 // traffic-weighted distance gain of acquiring (u,x) is bounded above by
@@ -74,13 +76,30 @@ func (c GainCertificate) RulesOutAcquisitions(eps float64) bool {
 // tighten it. Like BestSingleMove it works in the state's reused scan
 // buffers, so one state must not compute two certificates concurrently.
 func (s *State) AcquireGainCertificate(u int) (cert GainCertificate, ok bool) {
+	return s.gainCertificate(u, math.Inf(1))
+}
+
+// gainCertificate is AcquireGainCertificate's one candidate loop, which
+// stops as soon as the certificate can no longer rule out acquisitions
+// at tolerance eps: once AcquireBound + MaxRefund > eps − Slack. The
+// bound is a running maximum and float addition is monotone, so the
+// stopped certificate's RulesOutAcquisitions(eps) is the full one's, bit
+// for bit, although its AcquireBound may fall short of the full value.
+// A MaxRefund of +Inf (or NaN) fails that test whatever the bound, so it
+// stops before the loop. eps = +Inf never stops: the exported
+// certificate passes it and keeps its full value.
+func (s *State) gainCertificate(u int, eps float64) (cert GainCertificate, ok bool) {
 	cur := s.Cost(u)
 	pb := s.newMoveBounds(u, cur)
 	if pb == nil {
 		return GainCertificate{}, false
 	}
-	cert = GainCertificate{Agent: u, AcquireBound: math.Inf(-1), Slack: pb.slack}
 	owned := s.P.S[u]
+	cert = GainCertificate{Agent: u, AcquireBound: math.Inf(-1), MaxRefund: s.maxRefundPrice(u, owned), Slack: pb.slack}
+	limit := eps - cert.Slack
+	if limit < math.Inf(1) && !(cert.MaxRefund < math.Inf(1)) {
+		return cert, true
+	}
 	n := s.G.N()
 	for x := 0; x < n; x++ {
 		if x == u || owned.Has(x) {
@@ -114,9 +133,11 @@ func (s *State) AcquireGainCertificate(u int) (cert GainCertificate, ok bool) {
 		}
 		if net := b - price; net > cert.AcquireBound {
 			cert.AcquireBound = net
+			if cert.AcquireBound+cert.MaxRefund > limit {
+				return cert, true
+			}
 		}
 	}
-	cert.MaxRefund = s.maxRefundPrice(u, owned)
 	return cert, true
 }
 
@@ -178,7 +199,8 @@ type agentVerdict struct {
 // (pinned by TestVerifyParallelMatchesSerialOracle).
 //
 // Each agent is checked at the cheapest sufficient tier: its
-// GainCertificate first (one bound pass over the candidates); if the
+// GainCertificate first (one bound pass over the candidates, stopped at
+// the first candidate that keeps it from ruling acquisitions out); if the
 // certificate rules out every buy and swap, only the agent's |S_u|
 // deletions are evaluated exactly and the quadratic candidate scan is
 // skipped entirely (counted in CertSkipped). Otherwise the agent runs a full
@@ -218,7 +240,7 @@ func VerifyGreedyEquilibrium(s *State, opt VerifyOptions) VerifyResult {
 func verifyAgent(work *State, u int, opt VerifyOptions) (v agentVerdict) {
 	cur := work.Cost(u)
 	if !math.IsInf(cur, 1) {
-		if cert, ok := work.AcquireGainCertificate(u); ok && cert.RulesOutAcquisitions(work.G.Eps) {
+		if cert, ok := work.gainCertificate(u, work.G.Eps); ok && cert.RulesOutAcquisitions(work.G.Eps) {
 			// Buys and swaps are ruled out; only the agent's own
 			// deletions remain, at most |S_u| of them: the shared scan
 			// loop with no acquisition targets.

@@ -7,7 +7,11 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
+
+	"gncg/internal/gen"
+	"gncg/internal/metric"
 )
 
 // serialOracleVerify is the reference the parallel verifier is pinned
@@ -276,6 +280,92 @@ func TestAcquireGainCertificateMatchesFullMax(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// countingTree wraps a tree metric the way a tracing wrapper does: the
+// embedded pointer promotes every capability, and Dist is counted.
+type countingTree struct {
+	*metric.TreeMetric
+	calls *atomic.Int64
+}
+
+func (c countingTree) Dist(i, j int) float64 {
+	c.calls.Add(1)
+	return c.TreeMetric.Dist(i, j)
+}
+
+// TestDisconnectingMovesSkipEdgeFold: every delete of the star centre
+// disconnects the network, so the scan and the verifier price none of
+// their strategies. Once the centre's floor row is warm, BestSingleMove(0)
+// and the verifier's check of agent 0 make O(deg) host Dist calls, where
+// folding each delete's strategy would make deg·(deg−1). CostAfter itself
+// keeps its value: +Inf for a disconnecting delete, and NaN when α = 0
+// meets a +Inf host weight.
+func TestDisconnectingMovesSkipEdgeFold(t *testing.T) {
+	const n = 300
+	const deg = n - 1
+	var calls atomic.Int64
+	g := New(NewHost(countingTree{gen.Tree(11, n, 1, 6), &calls}), n)
+	s := NewState(g, StarProfile(n, 0))
+	s.BestSingleMove(0)
+	for name, check := range map[string]func(){
+		"BestSingleMove": func() {
+			if _, _, ok := s.BestSingleMove(0); ok {
+				t.Fatal("star centre has an improving move at alpha = n")
+			}
+		},
+		"verifyAgent": func() {
+			if v := verifyAgent(s, 0, VerifyOptions{}); v.improving || !v.skipped {
+				t.Fatalf("verifier verdict for the star centre: %+v, want skipped and not improving", v)
+			}
+		},
+	} {
+		calls.Store(0)
+		check()
+		if c := calls.Load(); c > 4*deg {
+			t.Errorf("%s(0) on an n = %d star made %d Dist calls, want O(deg) (≤ %d)", name, n, c, 4*deg)
+		}
+	}
+	if c := s.CostAfter(Move{Agent: 0, Kind: Delete, V: 7}); !math.IsInf(c, 1) {
+		t.Fatalf("CostAfter of a disconnecting delete = %v, want +Inf", c)
+	}
+
+	// Points 1 and 2 are 2e308 apart under l1: a +Inf host weight. At
+	// α = 0 agent 1's edge part is 0·Inf = NaN, and deleting (1,0) also
+	// cuts 0 off, so the distance part is +Inf; the sum stays NaN.
+	pts, err := metric.NewPoints([][]float64{{0}, {1e308}, {-1e308}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := EmptyProfile(3)
+	p.Buy(1, 0)
+	p.Buy(1, 2)
+	inf := NewState(New(NewHost(pts), 0), p)
+	if c := inf.CostAfter(Move{Agent: 1, Kind: Delete, V: 0}); !math.IsNaN(c) {
+		t.Fatalf("CostAfter at alpha = 0 with a +Inf weight = %v, want NaN", c)
+	}
+}
+
+// TestStarScanAndCertificateAllocs is the allocation gate of the scan's
+// and the verifier's per-agent paths on warm buffers: scanning the star
+// centre's deletes allocates one strategy clone per candidate and nothing
+// else, and the verifier's certificate check allocates nothing, for the
+// centre and for a leaf, whose check runs the candidate loop. Neither
+// sorts its row: ensureSorted's sort.Slice allocates.
+func TestStarScanAndCertificateAllocs(t *testing.T) {
+	const n = 300
+	g := New(NewHost(gen.Tree(8, n, 1, 6)), n)
+	s := NewState(g, StarProfile(n, 0))
+	s.BestSingleMove(0)
+	if allocs := testing.AllocsPerRun(20, func() { s.BestSingleMove(0) }); allocs != n-1 {
+		t.Fatalf("BestSingleMove(0) on an n = %d star allocated %v times per run, want %d (one clone per delete)", n, allocs, n-1)
+	}
+	for _, u := range []int{0, 5} {
+		s.gainCertificate(u, g.Eps)
+		if allocs := testing.AllocsPerRun(20, func() { s.gainCertificate(u, g.Eps) }); allocs != 0 {
+			t.Fatalf("certificate of agent %d allocated %v times per run, want 0", u, allocs)
 		}
 	}
 }
