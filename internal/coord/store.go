@@ -219,7 +219,7 @@ func (s *Store) load() error {
 			return fmt.Errorf("coord: %s: %w", snapshotName, derr)
 		}
 		for _, c := range rs.Cells {
-			if err := s.admit(c.Seq, sweep.CellJSON(c)); err != nil {
+			if _, err := s.admit(c.Seq, sweep.CellJSON(c)); err != nil {
 				return fmt.Errorf("coord: %s: %w", snapshotName, err)
 			}
 		}
@@ -267,7 +267,7 @@ func (s *Store) load() error {
 			}
 			// Re-encode: admits exactly the canonical bytes, whatever
 			// whitespace the raw payload carried.
-			if err := s.admit(cell.Seq, sweep.CellJSON(cell)); err != nil {
+			if _, err := s.admit(cell.Seq, sweep.CellJSON(cell)); err != nil {
 				return fmt.Errorf("coord: %s line %d: %w", journalName, i+1, err)
 			}
 		case "lease", "expire":
@@ -281,19 +281,20 @@ func (s *Store) load() error {
 
 // admit records one done cell's canonical bytes, verifying agreement
 // with any copy already held (cells are deterministic, so two legitimate
-// copies are byte-equal; disagreement means mixed runs).
-func (s *Store) admit(seq int, canon []byte) error {
+// copies are byte-equal; disagreement means mixed runs). It reports
+// whether the cell is new.
+func (s *Store) admit(seq int, canon []byte) (bool, error) {
 	if seq < 0 || seq >= s.spec.Cells {
-		return fmt.Errorf("cell seq %d out of range [0,%d)", seq, s.spec.Cells)
+		return false, fmt.Errorf("cell seq %d out of range [0,%d)", seq, s.spec.Cells)
 	}
 	if have, ok := s.done[seq]; ok {
 		if !bytes.Equal(have, canon) {
-			return fmt.Errorf("cell seq %d journaled twice with different payloads", seq)
+			return false, fmt.Errorf("cell seq %d journaled twice with different payloads", seq)
 		}
-		return nil
+		return false, nil
 	}
 	s.done[seq] = canon
-	return nil
+	return true, nil
 }
 
 // compact writes every done cell into a fresh snapshot (canonical
@@ -364,7 +365,8 @@ func (s *Store) Compact() error { return s.compact() }
 
 // Append journals finished cells (one fsynced write batch). Cells
 // already done are skipped silently — late reports from a worker whose
-// lease was stolen are legitimate duplicates of identical bytes.
+// lease was stolen are legitimate duplicates of identical bytes — and
+// a batch with no new cell writes and syncs nothing.
 func (s *Store) Append(entries []Done) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -374,8 +376,12 @@ func (s *Store) Append(entries []Done) error {
 	var buf bytes.Buffer
 	for _, d := range entries {
 		canon := sweep.CellJSON(d.Cell)
-		if err := s.admit(d.Cell.Seq, canon); err != nil {
+		fresh, err := s.admit(d.Cell.Seq, canon)
+		if err != nil {
 			return err
+		}
+		if !fresh {
+			continue
 		}
 		// Telemetry keys precede "cell" so journal consumers can unwrap
 		// the canonical payload by slicing to the final brace.

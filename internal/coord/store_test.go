@@ -265,3 +265,43 @@ func TestStoreDuplicateAndConflict(t *testing.T) {
 		t.Fatal("conflicting duplicate was accepted")
 	}
 }
+
+// TestStoreAppendJournalsOnlyNewCells: Append writes a done line only for
+// cells not already done. Re-appending a done cell, alone or beside a
+// new one, and a batch that repeats a cell, each leave exactly one done
+// line per cell, and a batch with no new cell leaves the journal's bytes
+// as they were.
+func TestStoreAppendJournalsOnlyNewCells(t *testing.T) {
+	exps := testExps()
+	ref, _ := refRun(t, exps)
+	spec := SpecFor(testSpec, false, exps)
+	dir := t.TempDir()
+	s, err := Open(dir, spec, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	journal := func() string {
+		j, err := os.ReadFile(filepath.Join(dir, journalName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(j)
+	}
+	a, b := Done{Cell: ref.Cells[0]}, Done{Cell: ref.Cells[1]}
+	for _, batch := range [][]Done{{a}, {a}, {a, b, b}, {b, a}} {
+		if err := s.Append(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := journal()
+	if got := strings.Count(before, `{"type": "done"`); got != 2 {
+		t.Fatalf("journal holds %d done lines for 2 cells:\n%s", got, before)
+	}
+	if err := s.Append([]Done{b, a}); err != nil {
+		t.Fatal(err)
+	}
+	if after := journal(); after != before {
+		t.Fatalf("an all-duplicate batch changed the journal:\n%s", after)
+	}
+}

@@ -28,6 +28,11 @@ package game
 // folds to a +Inf total, matching the exact semantics; zero-demand pairs
 // contribute an exact 0 so a +Inf distance they tolerate never poisons
 // the sum (0·Inf is NaN — distTerm guards it).
+//
+// The terms depend on the game's demand and cost model, which are fixed
+// once a State exists (see SetTraffic and SetRules), so an aggregate is
+// stale only when its row is: it is built with its row, maintained by
+// its row's repairs and dropped with it.
 
 // aggBlock is the fixed fold-block width. It is a constant — never a
 // function of n or of the machine — because the fold shape is part of
@@ -38,8 +43,6 @@ const aggBlock = 64
 type rowAgg struct {
 	blocks []float64 // fixed-shape per-block partial sums
 	total  float64   // left-to-right fold of blocks
-	epoch  uint64    // cost epoch (traffic + rules) the terms were computed under
-	valid  bool
 }
 
 // distTerm is the contribution of pair (u,v) at distance d: the cost
@@ -68,8 +71,8 @@ func (s *State) foldBlock(u int, row []float64, lo, hi int) float64 {
 }
 
 // foldDistCost computes Σ_v t(u,v)·d(u,v) over the row with the canonical
-// fold shape. This is the from-scratch path (uncached states, aggregate
-// rebuilds); it is bit-identical to any sequence of incremental block
+// fold shape. This is the from-scratch path (uncached rows and refused
+// repairs); it is bit-identical to any sequence of incremental block
 // updates landing on the same row.
 func (s *State) foldDistCost(u int, row []float64) float64 {
 	total := 0.0
@@ -91,7 +94,7 @@ func foldBlocks(blocks []float64) float64 {
 // buildRowAgg computes row u's aggregate from scratch.
 func buildRowAgg(s *State, u int, row []float64) rowAgg {
 	nb := (len(row) + aggBlock - 1) / aggBlock
-	a := rowAgg{blocks: make([]float64, nb), epoch: s.G.costEpoch, valid: true}
+	a := rowAgg{blocks: make([]float64, nb)}
 	for b := 0; b < nb; b++ {
 		lo := b * aggBlock
 		a.blocks[b] = s.foldBlock(u, row, lo, min(lo+aggBlock, len(row)))
@@ -115,20 +118,6 @@ func (c *distCache) beginAggMark() func(x int) {
 	}
 }
 
-// finishAggUpdate refreshes row i's aggregate after a successful repair:
-// dirty blocks recompute from the repaired row and the block sums refold.
-// An aggregate from a stale cost epoch (or a missing one) rebuilds
-// wholesale instead. Caller holds c.mu.
-func (c *distCache) finishAggUpdate(s *State, i int, row []float64) {
-	a := &c.agg[i]
-	if !a.valid || a.epoch != s.G.costEpoch || len(a.blocks) != (len(row)+aggBlock-1)/aggBlock {
-		*a = buildRowAgg(s, i, row)
-		c.clearAggScratch()
-		return
-	}
-	a.total = c.refoldLocked(s, i, row, a.blocks)
-}
-
 // refoldLocked recomputes the dirty blocks of row i's block sums from
 // the repaired row, clears the dirty scratch and returns the refolded
 // total. Caller holds c.mu.
@@ -149,11 +138,10 @@ func (c *distCache) clearAggScratch() {
 }
 
 // aggTotal returns the maintained Σ t(u,·)·d(u,·) when row u is cached
-// and current, rebuilding the aggregate first if the traffic matrix or
-// the cost model changed since it was computed. countHit guards the stats counter:
-// DistCost probes the aggregate again after a row fill, and that second
-// probe answers from work the fill already counted.
-func (c *distCache) aggTotal(s *State, u int, countHit bool) (float64, bool) {
+// and current. countHit guards the stats counter: DistCost probes the
+// aggregate again after a row fill, and that second probe answers from
+// work the fill already counted.
+func (c *distCache) aggTotal(u int, countHit bool) (float64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.rows[u] == nil || c.rowPos[u] != c.head {
@@ -162,16 +150,5 @@ func (c *distCache) aggTotal(s *State, u int, countHit bool) (float64, bool) {
 	if countHit {
 		c.stats.Hits++
 	}
-	return c.aggLocked(s, u).total, true
-}
-
-// aggLocked returns cached row u's aggregate, rebuilding it first if the
-// traffic matrix or the cost model changed since it was computed. Caller
-// holds c.mu.
-func (c *distCache) aggLocked(s *State, u int) *rowAgg {
-	a := &c.agg[u]
-	if !a.valid || a.epoch != s.G.costEpoch {
-		*a = buildRowAgg(s, u, c.rows[u])
-	}
-	return a
+	return c.agg[u].total, true
 }

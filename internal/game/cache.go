@@ -31,6 +31,8 @@ import (
 //
 // Cached rows are capped (rowCacheCap) so the cache holds O(cap·n)
 // floats, not O(n²), at scale; a clock sweep evicts stale rows first.
+// The cap and the removal-repair budget are per-cache fields, set from
+// n when the cache is made; tests lower them on the State they build.
 // Eviction and laziness change which queries are cache hits but never
 // their values, so results stay byte-deterministic under any schedule.
 //
@@ -63,6 +65,7 @@ type distCache struct {
 	borrowed []bool // rows shared read-only with a fork's parent; nil outside forks
 	cached   int    // non-nil private rows
 	cap      int    // max cached private rows
+	budget   int    // affected-set budget of a removal repair
 	clock    int    // eviction sweep pointer
 
 	// Dirty-block scratch for aggregate maintenance (see aggregate.go).
@@ -149,9 +152,8 @@ const maxPendingDeltas = 96
 // rowCacheCap returns the maximum number of cached distance rows for an
 // n-agent state: every row up to a ~256 MiB row budget, so small and
 // mid-size states cache everything and a 10k-agent state holds a few
-// thousand rows instead of an 800 MB dense matrix. It is a variable so
-// tests can force eviction on small states.
-var rowCacheCap = func(n int) int {
+// thousand rows instead of an 800 MB dense matrix.
+func rowCacheCap(n int) int {
 	if n <= 0 {
 		return 1
 	}
@@ -171,6 +173,7 @@ func newDistCache(n int) *distCache {
 		rowPos:       make([]uint64, n),
 		agg:          make([]rowAgg, n),
 		cap:          rowCacheCap(n),
+		budget:       graph.DefaultRepairBudget(n),
 		aggDirtyFlag: make([]bool, (n+aggBlock-1)/aggBlock),
 	}
 }
@@ -200,12 +203,6 @@ func (c *distCache) edgeChanged(u, v int, w float64, added bool) {
 	}
 	c.mu.Unlock()
 }
-
-// repairBudget supplies the affected-set budget for removal repair. It is
-// a variable so tests can force the fallback path (rows dropped and
-// recomputed from scratch) on graphs small enough that the default
-// budget would otherwise never be exceeded.
-var repairBudget = graph.DefaultRepairBudget
 
 // pendingDiff collapses the logged deltas after position pos into the net
 // edge difference between the network at pos and the current network: a
@@ -265,14 +262,14 @@ func (c *distCache) replayRowLocked(s *State, i int) bool {
 		c.ownRowLocked(i)
 		row := c.rows[i]
 		mark := c.beginAggMark()
-		if !s.net.RepairRowBatch(&c.scratch, row, i, removed, added, repairBudget(len(c.rows)), mark) {
+		if !s.net.RepairRowBatch(&c.scratch, row, i, removed, added, c.budget, mark) {
 			c.clearAggScratch()
 			c.dropRowLocked(i)
 			c.stats.RepairRefusals++
 			return false
 		}
 		c.stats.BatchRepairs++
-		c.finishAggUpdate(s, i, row)
+		c.agg[i].total = c.refoldLocked(s, i, row, c.agg[i].blocks)
 	}
 	c.rowPos[i] = c.head
 	return true
@@ -412,7 +409,7 @@ func (s *State) speculativeDistCost(u int, flips []edgeFlip) float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.specRow = append(c.specRow[:0], row...)
-	c.specBlocks = append(c.specBlocks[:0], c.aggLocked(s, u).blocks...)
+	c.specBlocks = append(c.specBlocks[:0], c.agg[u].blocks...)
 	removed, added := make([]graph.Edge, 0, 2), make([]graph.Edge, 0, 2) // a move flips at most two edges
 	for _, f := range flips {
 		e := graph.Edge{U: u, V: f.v, W: f.w}
@@ -425,7 +422,7 @@ func (s *State) speculativeDistCost(u int, flips []edgeFlip) float64 {
 		}
 	}
 	var total float64
-	if s.net.RepairRowBatch(&c.scratch, c.specRow, u, removed, added, repairBudget(len(c.rows)), c.beginAggMark()) {
+	if s.net.RepairRowBatch(&c.scratch, c.specRow, u, removed, added, c.budget, c.beginAggMark()) {
 		c.stats.Hits++
 		c.stats.BatchRepairs++
 		total = c.refoldLocked(s, u, c.specRow, c.specBlocks)

@@ -9,6 +9,7 @@ import (
 
 	"gncg/internal/bitset"
 	"gncg/internal/gen"
+	"gncg/internal/graph"
 	"gncg/internal/metric"
 	"gncg/internal/parallel"
 )
@@ -202,15 +203,14 @@ func layoutOf(s *State) cacheLayout {
 // fresh state with the move applied, whether the mover's row is
 // current, stale or cold, and also when every removal repair is forced
 // over budget. On a current row the cache's layout is identical before
-// and after. Not parallel: it swaps the package-level budget hook.
+// and after.
 func TestCostAfterLeavesCacheUntouched(t *testing.T) {
-	orig := repairBudget
-	defer func() { repairBudget = orig }()
+	t.Parallel()
 	const n = 9
 	for _, refuse := range []bool{false, true} {
-		repairBudget = orig
+		budget := graph.DefaultRepairBudget(n)
 		if refuse {
-			repairBudget = func(int) int { return 1 }
+			budget = 1
 		}
 		var refusals uint64
 		for _, forked := range []bool{false, true} {
@@ -222,7 +222,7 @@ func TestCostAfterLeavesCacheUntouched(t *testing.T) {
 						for _, m := range firstMoveOfEachKind(NewState(g, p.Clone()).CandidateMoves(u)) {
 							for _, rows := range []string{"current", "stale", "cold"} {
 								ctx := fmt.Sprintf("refuse=%v forked=%v %s profile %d %v, %s row", refuse, forked, flavor, pi, m, rows)
-								s, other := costAfterSetup(g, p, u, rows, forked)
+								s, other := costAfterSetup(g, p, u, rows, forked, budget)
 								ref := NewState(g, s.P.Clone())
 								ref.Apply(m)
 								want := uncachedCost(ref, u)
@@ -341,9 +341,11 @@ func firstMoveOfEachKind(moves []Move) []Move {
 // current, stale (cached, then an edge of another agent flipped) or
 // cold, and the fork it is a worker of (nil for a plain state). A
 // forked state is worker 0 of a two-worker fork over a parent that
-// holds the rows, so they are borrowed.
-func costAfterSetup(g *Game, p Profile, u int, rows string, forked bool) (*State, *Fork) {
+// holds the rows, so they are borrowed. Every removal repair on the
+// state, and on the fork's workers, runs under the given budget.
+func costAfterSetup(g *Game, p Profile, u int, rows string, forked bool, budget int) (*State, *Fork) {
 	s := NewState(g, p.Clone())
+	s.cache.budget = budget
 	if rows != "cold" {
 		s.SocialCost()
 	}

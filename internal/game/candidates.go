@@ -132,25 +132,25 @@ func (s *State) maxRefundPrice(u int, owned bitset.Set) float64 {
 // trafficFloorSum returns Σ_{x≠u} t(u,x)·Host.Weight(u,x) — the
 // traffic-weighted host-metric floor under agent u's distance cost. The
 // sum depends only on the host and the demand matrix, never on the
-// strategy profile, so it is computed once per agent per traffic epoch
-// and cached on the Game; every state and verifier clone sharing the
+// strategy profile, so it is computed once per agent and cached on the
+// Game (the demand is fixed once a State exists; SetTraffic before that
+// discards the cache); every state and verifier clone sharing the
 // Game reuses it, which is what makes the excess certificate sublinear
 // after first touch. Concurrent callers may recompute the same entry
 // (the sum is deterministic — fixed index order — so duplicates agree
 // bitwise); writes are serialized under floorMu.
 func (g *Game) trafficFloorSum(u int) float64 {
 	g.floorMu.Lock()
-	if g.floorSums == nil || g.floorEpoch != g.costEpoch || len(g.floorSums) != g.N() {
+	if g.floorSums == nil {
 		g.floorSums = make([]float64, g.N())
 		g.floorDone = make([]bool, g.N())
-		g.floorEpoch = g.costEpoch
 	}
 	if g.floorDone[u] {
 		v := g.floorSums[u]
 		g.floorMu.Unlock()
 		return v
 	}
-	sums, done, epoch := g.floorSums, g.floorDone, g.floorEpoch
+	sums, done := g.floorSums, g.floorDone
 	g.floorMu.Unlock()
 
 	sum := 0.0
@@ -165,12 +165,8 @@ func (g *Game) trafficFloorSum(u int) float64 {
 	}
 
 	g.floorMu.Lock()
-	if g.floorEpoch == epoch {
-		// Still the same traffic epoch: publish. (A stale epoch means the
-		// captured slices were replaced; the write would just vanish.)
-		sums[u] = sum
-		done[u] = true
-	}
+	sums[u] = sum
+	done[u] = true
 	g.floorMu.Unlock()
 	return sum
 }
@@ -229,8 +225,7 @@ func (s *State) excessRulesOutAcquisitions(u int, cur float64, owned bitset.Set)
 			}
 		}
 	}
-	slack := 1e-11 * (1 + math.Abs(cur))
-	return excess+s.maxRefundPrice(u, owned)-minPrice <= s.G.Eps-slack
+	return excess+s.maxRefundPrice(u, owned)-minPrice <= s.G.Eps-boundSlack(cur)
 }
 
 // acquireCutoff finds a host-weight radius r such that every candidate

@@ -57,6 +57,7 @@ func (c *distCache) borrowLocked(rowCap int) *distCache {
 		agg:          append([]rowAgg(nil), c.agg...),
 		borrowed:     make([]bool, len(c.rows)),
 		cap:          rowCap,
+		budget:       c.budget,
 		aggDirtyFlag: make([]bool, len(c.aggDirtyFlag)),
 	}
 	for i, row := range c.rows {

@@ -14,16 +14,14 @@ import (
 // TestForkWorkerCapsSplitParentCap: a fork's workers hold at most the
 // parent's row budget between them, under the cap the n = 10⁵ ladder
 // rungs run with and under the every-row cap of a small state, however
-// many rows each worker reads. Not parallel: it swaps the package-level
-// cap hook.
+// many rows each worker reads.
 func TestForkWorkerCapsSplitParentCap(t *testing.T) {
-	orig := rowCacheCap
-	defer func() { rowCacheCap = orig }()
+	t.Parallel()
 	const n = 400
-	for _, parentCap := range []int{orig(100000), orig(n)} {
-		rowCacheCap = func(int) int { return parentCap }
+	for _, parentCap := range []int{rowCacheCap(100000), rowCacheCap(n)} {
 		rng := rand.New(rand.NewSource(5))
 		s := NewState(New(randCacheHost(rng, n), 1.5), StarProfile(n, 0))
+		s.cache.cap = parentCap
 		for _, workers := range []int{1, 2, 3, 8, 64, 1000} {
 			f := s.Fork(workers)
 			capSum, heldSum := 0, 0

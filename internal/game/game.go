@@ -155,25 +155,26 @@ type Game struct {
 	Eps   float64
 
 	// traffic holds optional per-pair demand weights (nil = uniform);
-	// see traffic.go. costEpoch counts SetTraffic and SetRules calls so
-	// cached distance-sum aggregates (aggregate.go) detect changes to
-	// the per-pair cost terms and rebuild instead of serving stale sums.
-	traffic   [][]float64
-	costEpoch uint64
+	// see traffic.go. rules is the pluggable cost model (rules.go); nil
+	// means the paper's SumRules. Read through Traffic and Rules, set
+	// through SetTraffic and SetRules.
+	traffic [][]float64
+	rules   Rules
 
-	// rules is the pluggable cost model (rules.go); nil means the
-	// paper's SumRules. Read through Rules(), set through SetRules.
-	rules Rules
+	// bound is set by the first NewState. From then on the demand and
+	// the cost model are fixed: SetTraffic refuses and SetRules panics,
+	// so the distance-sum aggregates every cached row carries
+	// (aggregate.go) and the floor sums below never go stale.
+	bound atomic.Bool
 
 	// floorSums lazily caches the per-agent traffic-weighted host floor
 	// Σ_x t(u,x)·w(u,x) behind the excess certificate (candidates.go).
-	// The sums are strategy-independent; floorEpoch tracks costEpoch so
-	// SetTraffic invalidates them. Guarded by floorMu — states and
-	// verifier clones share the Game across goroutines.
-	floorMu    sync.Mutex
-	floorEpoch uint64
-	floorSums  []float64
-	floorDone  []bool
+	// The sums are strategy-independent; SetTraffic, which may run
+	// before the first State only, discards them. Guarded by floorMu —
+	// states and verifier clones share the Game across goroutines.
+	floorMu   sync.Mutex
+	floorSums []float64
+	floorDone []bool
 }
 
 // New returns a game on host h with parameter alpha and the default

@@ -129,19 +129,14 @@ func TestLogCompactionFallsBackToRecompute(t *testing.T) {
 
 // TestRowCacheEviction runs the randomized corpus under a two-row cache
 // cap, so insertion constantly evicts, and requires every cost to stay
-// bit-equal to exact recomputation. Not parallel: it swaps the
-// package-level cap hook.
+// bit-equal to exact recomputation.
 func TestRowCacheEviction(t *testing.T) {
-	orig := rowCacheCap
-	rowCacheCap = func(int) int { return 2 }
-	defer func() { rowCacheCap = orig }()
+	t.Parallel()
 	rng := rand.New(rand.NewSource(21))
 	n := 8
 	g := New(randCacheHost(rng, n), 1.2)
 	s := NewState(g, StarProfile(n, 0))
-	if s.cache.cap != 2 {
-		t.Fatalf("cap hook not applied: %d", s.cache.cap)
-	}
+	s.cache.cap = 2
 	for step := 0; step < 25; step++ {
 		u := rng.Intn(n)
 		moves := s.CandidateMoves(u)
@@ -161,15 +156,15 @@ func TestRowCacheEviction(t *testing.T) {
 	}
 }
 
-// TestTrafficChangeRebuildsAggregates: installing a demand matrix after
-// aggregates exist must invalidate them — DistCost must serve the new
-// demands, bit-equal to a from-scratch recomputation under the same traffic.
-func TestTrafficChangeRebuildsAggregates(t *testing.T) {
+// TestCostInputsFixedOnceBound: a Game's demand and cost model can be
+// set until the first NewState (a SetTraffic then discards the cached
+// floor sums) and are fixed from then on. SetTraffic refuses and leaves
+// the demand, and every cost built on it, as they were; SetRules panics.
+func TestCostInputsFixedOnceBound(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(5))
 	n := 9
 	g := New(randCacheHost(rng, n), 2)
-	s := NewState(g, StarProfile(n, 0))
-	before := s.DistCost(3) // builds the uniform-demand aggregate
 	tr := make([][]float64, n)
 	for u := range tr {
 		tr[u] = make([]float64, n)
@@ -179,18 +174,37 @@ func TestTrafficChangeRebuildsAggregates(t *testing.T) {
 			}
 		}
 	}
+	g.SetRules(capRules{})
+	g.SetRules(nil)
 	if err := g.SetTraffic(tr); err != nil {
-		t.Fatal(err)
+		t.Fatalf("SetTraffic before NewState: %v", err)
 	}
-	got := s.DistCost(3)
-	if got == before {
-		t.Fatalf("DistCost ignored the traffic change: still %v", got)
-	}
-	assertCostsBitEqualUncached(t, s, "traffic epoch", 0)
+	doubled := g.TrafficFloorTotal() // caches the floor sums under demand 2
 	if err := g.SetTraffic(nil); err != nil {
-		t.Fatal(err)
+		t.Fatalf("SetTraffic(nil) before NewState: %v", err)
 	}
-	if back := s.DistCost(3); back != before {
-		t.Fatalf("DistCost after traffic reset = %v, want %v", back, before)
+	if got := g.TrafficFloorTotal(); got != doubled/2 {
+		t.Fatalf("floor total after SetTraffic(nil) = %v, want %v: the cached sums survived", got, doubled/2)
 	}
+	s := NewState(g, StarProfile(n, 0))
+	before := s.DistCost(3)
+	if err := g.SetTraffic(tr); err == nil {
+		t.Fatal("SetTraffic after NewState succeeded")
+	}
+	if g.HasTraffic() || g.Traffic(3, 4) != 1 {
+		t.Fatalf("refused SetTraffic changed the demand: t(3,4) = %v", g.Traffic(3, 4))
+	}
+	if got := s.DistCost(3); got != before {
+		t.Fatalf("DistCost after a refused SetTraffic = %v, want %v", got, before)
+	}
+	assertCostsBitEqualUncached(t, s, "bound", 0)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetRules after NewState did not panic")
+		}
+		if _, ok := g.Rules().(SumRules); !ok {
+			t.Fatalf("panicking SetRules installed %T", g.Rules())
+		}
+	}()
+	g.SetRules(capRules{})
 }

@@ -3,6 +3,7 @@ package game
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"gncg/internal/bitset"
@@ -354,6 +355,12 @@ type moveBounds struct {
 
 type distDemand struct{ d, t float64 }
 
+// boundSlack is the float slack the pruning bounds and the excess
+// certificate subtract from their thresholds for an agent of current
+// cost cur: it absorbs the ulp-level divergence between real-arithmetic
+// bounds and float path sums.
+func boundSlack(cur float64) float64 { return 1e-11 * (1 + math.Abs(cur)) }
+
 // newMoveBounds fills the state's reused bounds for a scan of agent u.
 // The result stays valid until the next newMoveBounds call on s.
 func (s *State) newMoveBounds(u int, cur float64) *moveBounds {
@@ -374,7 +381,7 @@ func (s *State) newMoveBounds(u int, cur float64) *moveBounds {
 		st:    pb.st,
 		alpha: s.G.Alpha,
 		eps:   s.G.Eps,
-		slack: 1e-11 * (1 + math.Abs(cur)),
+		slack: boundSlack(cur),
 		rules: r,
 	}
 	pb.minD = math.Inf(1)
@@ -417,7 +424,7 @@ func (pb *moveBounds) ensureSorted() {
 	}
 	pb.sorted = true
 	pairs := pb.pairs
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].d < pairs[j].d })
+	slices.SortFunc(pairs, byDist)
 	m := len(pairs)
 	pb.ds, pb.std, pb.st = resize(pb.ds, m), resize(pb.std, m+1), resize(pb.st, m+1)
 	pb.std[m], pb.st[m] = 0, 0
@@ -426,6 +433,19 @@ func (pb *moveBounds) ensureSorted() {
 		pb.std[i] = pb.std[i+1] + pairs[i].t*pairs[i].d
 		pb.st[i] = pb.st[i+1] + pairs[i].t
 	}
+}
+
+// byDist orders pairs by distance alone. slices.SortFunc runs the same
+// pdqsort as sort.Slice with a less of a.d < b.d, so tied distances keep
+// sort.Slice's permutation, and it allocates nothing.
+func byDist(a, b distDemand) int {
+	switch {
+	case a.d < b.d:
+		return -1
+	case a.d > b.d:
+		return 1
+	}
+	return 0
 }
 
 // resize returns b with length m, reusing its backing array when it is

@@ -3,6 +3,8 @@ package game
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -145,5 +147,54 @@ func TestNegativeAlphaPanics(t *testing.T) {
 			}()
 			New(NewHost(metric.Unit{N: 2}), alpha)
 		}()
+	}
+}
+
+// TestByDistSortMatchesSortSlice: ensureSorted's slices.SortFunc with
+// byDist leaves tied distances in exactly the order sort.Slice with
+// a.d < b.d did, so the prefix sums it builds, and every bound read from
+// them, keep their bits. Inputs draw distances from a few values (many
+// ties, +Inf included) and tag each pair with its input index in t.
+func TestByDistSortMatchesSortSlice(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 2000; trial++ {
+		n := rng.Intn(300)
+		vals := []float64{0, 1, 2.5, 3, math.Inf(1)}[:1+rng.Intn(5)]
+		a := make([]distDemand, n)
+		for i := range a {
+			a[i] = distDemand{d: vals[rng.Intn(len(vals))], t: float64(i)}
+		}
+		b := slices.Clone(a)
+		sort.Slice(a, func(i, j int) bool { return a[i].d < a[j].d })
+		slices.SortFunc(b, byDist)
+		if !slices.Equal(a, b) {
+			t.Fatalf("trial %d (n = %d): slices.SortFunc permutation differs from sort.Slice", trial, n)
+		}
+	}
+}
+
+// TestGainCertificateSortAllocatesNothing: a warm AcquireGainCertificate
+// of an agent whose row gets sorted (ensureSorted runs) allocates
+// nothing: the sort is allocation-free and its arrays are reused.
+func TestGainCertificateSortAllocatesNothing(t *testing.T) {
+	const n = 200
+	rng := rand.New(rand.NewSource(3))
+	s := NewState(New(randCacheHost(rng, n), 1), randomProfile(rng, n, 0.02))
+	if !s.Connected() {
+		t.Fatal("profile is disconnected: no certificate builds bounds")
+	}
+	u := -1
+	for x := 0; x < n && u < 0; x++ {
+		s.AcquireGainCertificate(x)
+		if s.bounds.sorted {
+			u = x
+		}
+	}
+	if u < 0 {
+		t.Fatal("no agent's certificate sorted its row; the gate is vacuous")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { s.AcquireGainCertificate(u) }); allocs != 0 {
+		t.Fatalf("certificate of agent %d, whose row sorts, allocated %v times per run, want 0", u, allocs)
 	}
 }

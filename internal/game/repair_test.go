@@ -116,14 +116,18 @@ func assertRowsBitEqualFresh(t *testing.T, s *State, ctx string, step int) {
 // runRepairCorpus drives randomized apply / speculative-evaluate /
 // move-undo / bulk-replace sequences on one host flavor, asserting after
 // every step that each cached row is bit-equal to a fresh Dijkstra on the
-// current network.
-func runRepairCorpus(t *testing.T, flavor string, seeds int64) {
+// current network. budget overrides the removal-repair budget when
+// positive.
+func runRepairCorpus(t *testing.T, flavor string, seeds int64, budget int) {
 	t.Helper()
 	for seed := int64(0); seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 6 + rng.Intn(4)
 		g := New(repairHost(t, rng, n, flavor), 0.3+3*rng.Float64())
 		s := NewState(g, randProfile(rng, n, 0.3))
+		if budget > 0 {
+			s.cache.budget = budget
+		}
 		// Warm every row so each mutation exercises repair on a
 		// fully populated cache.
 		assertRowsBitEqualFresh(t, s, flavor, -1)
@@ -161,7 +165,7 @@ func TestRepairedRowsBitEqualFreshDijkstra(t *testing.T) {
 		flavor := flavor
 		t.Run(flavor, func(t *testing.T) {
 			t.Parallel()
-			runRepairCorpus(t, flavor, 4)
+			runRepairCorpus(t, flavor, 4, 0)
 		})
 	}
 }
@@ -171,14 +175,11 @@ func TestRepairedRowsBitEqualFreshDijkstra(t *testing.T) {
 // recomputation, and CostAfter's fresh Dijkstra of the speculative
 // network — actually execute. The default
 // budget (16 + n/4) can never be exceeded on the corpus's small graphs,
-// which would otherwise leave this interplay untested. Deliberately not
-// parallel: it swaps the package-level budget hook.
+// which would otherwise leave this interplay untested.
 func TestRepairBudgetFallbackPath(t *testing.T) {
-	orig := repairBudget
-	repairBudget = func(int) int { return 1 }
-	defer func() { repairBudget = orig }()
+	t.Parallel()
 	for _, flavor := range repairFlavors {
-		runRepairCorpus(t, flavor, 2)
+		runRepairCorpus(t, flavor, 2, 1)
 	}
 }
 

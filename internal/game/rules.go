@@ -149,14 +149,15 @@ func (g *Game) Rules() Rules {
 }
 
 // SetRules installs a cost model on the game; nil restores the default
-// SumRules. Like SetTraffic it bumps the cost epoch, so cached
-// distance-sum aggregates computed under the old model's DistTerm
-// rebuild instead of serving stale sums. States bound to the game see
-// the new model on their next cost query; callers swapping models
-// mid-run must not hold results computed under the old one.
+// SumRules. Like the demand, the cost model is fixed once a State
+// exists: calling SetRules after the first NewState is a caller bug and
+// panics, since every State's cached distance sums were folded under
+// the old model's DistTerm.
 func (g *Game) SetRules(r Rules) {
+	if g.bound.Load() {
+		panic("game: SetRules after NewState; the cost model is fixed once a State exists")
+	}
 	g.rules = r
-	g.costEpoch++
 }
 
 // NewWithRules returns a game on host h with parameter alpha under cost

@@ -40,11 +40,13 @@ type State struct {
 
 // NewState binds profile p to game g and materializes G(s). The profile is
 // used as-is (not cloned); callers that need the original intact should
-// pass p.Clone().
+// pass p.Clone(). From the first NewState on, g's demand and cost model
+// are fixed (see SetTraffic and SetRules).
 func NewState(g *Game, p Profile) *State {
 	if p.N() != g.N() {
 		panic("game: profile size does not match host")
 	}
+	g.bound.Store(true)
 	s := &State{G: g, P: p, cache: newDistCache(g.N())}
 	s.rebuild()
 	return s
@@ -54,11 +56,9 @@ func (s *State) rebuild() {
 	n := s.G.N()
 	s.net = graph.New(n)
 	for u := 0; u < n; u++ {
-		s.P.S[u].ForEach(func(v int) {
-			if !s.net.HasEdge(u, v) {
-				s.net.AddEdge(u, v, s.hostWeight(u, v))
-			}
-		})
+		// An edge both endpoints buy is added twice; AddEdge keeps one
+		// copy, and both owners carry the same host weight.
+		s.P.S[u].ForEach(func(v int) { s.net.AddEdge(u, v, s.hostWeight(u, v)) })
 	}
 	s.cache.bump()
 }
@@ -160,14 +160,14 @@ func (s *State) EdgeCost(u int) float64 {
 // queries fold the row in the same fixed shape, so the two paths are
 // bit-identical.
 func (s *State) DistCost(u int) float64 {
-	if total, ok := s.cache.aggTotal(s, u, true); ok {
+	if total, ok := s.cache.aggTotal(u, true); ok {
 		return total
 	}
 	row := s.Dist(u)
 	// Dist may have replayed or recomputed the row, publishing a current
 	// aggregate as a side effect; a second miss means the row was evicted
 	// by a concurrent reader — fold the row we hold.
-	if total, ok := s.cache.aggTotal(s, u, false); ok {
+	if total, ok := s.cache.aggTotal(u, false); ok {
 		return total
 	}
 	return s.foldDistCost(u, row)

@@ -9,9 +9,9 @@ import (
 // deterministic single-threaded query sequence: misses on cold rows,
 // O(1) hits on warm aggregates and warm rows, and batch repairs across
 // applied moves — the events the equilibrium sweep's churn probe
-// records — and the one event a CostAfter adds. Not parallel: it swaps
-// the package-level budget hook.
+// records — and the one event a CostAfter adds.
 func TestCacheStatsCounting(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(9))
 	n := 8
 	g := New(randCacheHost(rng, n), 1.5)
@@ -58,10 +58,8 @@ func TestCacheStatsCounting(t *testing.T) {
 	// A refused repair is one refusal and one miss (a fresh Dijkstra of
 	// the speculative network), and no hit: deleting the first edge of a
 	// path cuts off every other vertex, far over a budget of 1.
-	orig := repairBudget
-	repairBudget = func(int) int { return 1 }
-	defer func() { repairBudget = orig }()
 	path := NewState(g, PathProfile(n, []int{0, 1, 2, 3, 4, 5, 6, 7}))
+	path.cache.budget = 1
 	path.DistCost(0)
 	want = path.CacheStats()
 	path.CostAfter(Move{Agent: 0, Kind: Delete, V: 1})
@@ -80,16 +78,14 @@ func TestCacheStatsCounting(t *testing.T) {
 
 // TestCacheStatsEvictionChurn measures the ROADMAP's FIFO-degeneration
 // concern in miniature: round-robin access over more rows than the cap
-// makes every read a miss, and the counters say so. Not parallel: it
-// swaps the package-level cap hook.
+// makes every read a miss, and the counters say so.
 func TestCacheStatsEvictionChurn(t *testing.T) {
-	orig := rowCacheCap
-	rowCacheCap = func(int) int { return 2 }
-	defer func() { rowCacheCap = orig }()
+	t.Parallel()
 	rng := rand.New(rand.NewSource(11))
 	n := 8
 	g := New(randCacheHost(rng, n), 1.5)
 	s := NewState(g, StarProfile(n, 0))
+	s.cache.cap = 2
 	for round := 0; round < 2; round++ {
 		for u := 0; u < n; u++ {
 			s.DistCost(u)

@@ -36,18 +36,22 @@ func validateTraffic(n int, t [][]float64) error {
 }
 
 // SetTraffic installs a demand matrix on the game. Passing nil restores
-// the uniform (paper) model.
+// the uniform (paper) model. The demand is fixed once a State exists:
+// after the first NewState, SetTraffic returns an error and leaves the
+// demand unchanged.
 func (g *Game) SetTraffic(t [][]float64) error {
-	if t == nil {
-		g.traffic = nil
-		g.costEpoch++
-		return nil
+	if g.bound.Load() {
+		return fmt.Errorf("game: SetTraffic after NewState; the demand is fixed once a State exists")
 	}
-	if err := validateTraffic(g.N(), t); err != nil {
-		return err
+	if t != nil {
+		if err := validateTraffic(g.N(), t); err != nil {
+			return err
+		}
 	}
 	g.traffic = t
-	g.costEpoch++
+	g.floorMu.Lock()
+	g.floorSums, g.floorDone = nil, nil
+	g.floorMu.Unlock()
 	return nil
 }
 

@@ -352,8 +352,7 @@ func TestDisconnectingMovesSkipEdgeFold(t *testing.T) {
 // and the verifier's per-agent paths on warm buffers: scanning the star
 // centre's deletes allocates one strategy clone per candidate and nothing
 // else, and the verifier's certificate check allocates nothing, for the
-// centre and for a leaf, whose check runs the candidate loop. Neither
-// sorts its row: ensureSorted's sort.Slice allocates.
+// centre and for a leaf, whose check runs the candidate loop.
 func TestStarScanAndCertificateAllocs(t *testing.T) {
 	const n = 300
 	g := New(NewHost(gen.Tree(8, n, 1, 6)), n)

@@ -72,9 +72,9 @@ func (g *Graph) AddEdge(u, v int, w float64) {
 	}
 	g.checkVertex(u)
 	g.checkVertex(v)
-	if i := g.findHalf(u, v); i >= 0 {
-		if w < g.adj[u][i].w {
-			g.adj[u][i].w = w
+	if old, ok := g.lookup(u, v); ok {
+		if w < old {
+			g.adj[u][g.findHalf(u, v)].w = w
 			g.adj[v][g.findHalf(v, u)].w = w
 		}
 		return
@@ -98,12 +98,15 @@ func (g *Graph) RemoveEdge(u, v int) bool {
 }
 
 // HasEdge reports whether the undirected edge (u,v) is present.
-func (g *Graph) HasEdge(u, v int) bool { return g.findHalf(u, v) >= 0 }
+func (g *Graph) HasEdge(u, v int) bool {
+	_, ok := g.lookup(u, v)
+	return ok
+}
 
 // EdgeWeight returns the weight of edge (u,v), or +Inf if absent.
 func (g *Graph) EdgeWeight(u, v int) float64 {
-	if i := g.findHalf(u, v); i >= 0 {
-		return g.adj[u][i].w
+	if w, ok := g.lookup(u, v); ok {
+		return w
 	}
 	return math.Inf(1)
 }
@@ -158,6 +161,26 @@ func (g *Graph) TotalWeight() float64 {
 	return total
 }
 
+// lookup returns the weight of edge (u,v) and whether it is present. It
+// scans the shorter of the two adjacency lists (both halves carry the
+// same weight), so a lookup next to a hub costs the other endpoint's
+// degree, not the hub's. Out-of-range pairs are absent.
+func (g *Graph) lookup(u, v int) (float64, bool) {
+	if u < 0 || u >= g.n || v < 0 || v >= g.n {
+		return 0, false
+	}
+	if len(g.adj[v]) < len(g.adj[u]) {
+		u, v = v, u
+	}
+	for _, h := range g.adj[u] {
+		if h.to == v {
+			return h.w, true
+		}
+	}
+	return 0, false
+}
+
+// findHalf returns the index of v in u's adjacency list, or -1.
 func (g *Graph) findHalf(u, v int) int {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return -1

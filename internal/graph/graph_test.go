@@ -51,6 +51,76 @@ func TestAddRemoveEdge(t *testing.T) {
 	}
 }
 
+// TestEdgeOpsMatchMapOracle drives random adds (duplicates, lighter and
+// heavier re-adds) and removes on graphs with a few hubs, so lookups
+// scan lists of very different lengths from either endpoint, and checks
+// HasEdge, EdgeWeight, M and both adjacency lists against a map of the
+// edges after every step. Out-of-range pairs are absent without a panic.
+func TestEdgeOpsMatchMapOracle(t *testing.T) {
+	type pair struct{ u, v int }
+	key := func(u, v int) pair { return pair{min(u, v), max(u, v)} }
+	for seed := int64(0); seed < 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 12 + rng.Intn(30)
+		hubs := 1 + rng.Intn(3)
+		g := New(n)
+		oracle := map[pair]float64{}
+		pick := func() int {
+			if rng.Intn(3) > 0 {
+				return rng.Intn(hubs)
+			}
+			return rng.Intn(n)
+		}
+		for step := 0; step < 600; step++ {
+			u, v := pick(), pick()
+			if u == v {
+				continue
+			}
+			k := key(u, v)
+			if rng.Intn(4) == 0 {
+				_, had := oracle[k]
+				if got := g.RemoveEdge(u, v); got != had {
+					t.Fatalf("seed %d step %d: RemoveEdge(%d,%d) = %v, want %v", seed, step, u, v, got, had)
+				}
+				delete(oracle, k)
+			} else {
+				w := float64(rng.Intn(8))
+				g.AddEdge(u, v, w)
+				if old, ok := oracle[k]; !ok || w < old {
+					oracle[k] = w
+				}
+			}
+			if g.M() != len(oracle) {
+				t.Fatalf("seed %d step %d: M = %d, want %d", seed, step, g.M(), len(oracle))
+			}
+			for a := -1; a <= n; a++ {
+				for b := -1; b <= n; b++ {
+					want, ok := oracle[key(a, b)]
+					if !ok {
+						want = math.Inf(1)
+					}
+					if g.HasEdge(a, b) != ok || g.EdgeWeight(a, b) != want {
+						t.Fatalf("seed %d step %d: (%d,%d) HasEdge %v EdgeWeight %v, want %v %v",
+							seed, step, a, b, g.HasEdge(a, b), g.EdgeWeight(a, b), ok, want)
+					}
+				}
+			}
+		}
+		halves := 0
+		for u := 0; u < n; u++ {
+			g.Neighbors(u, func(v int, w float64) {
+				halves++
+				if ow, ok := oracle[key(u, v)]; !ok || ow != w {
+					t.Fatalf("seed %d: adjacency of %d holds (%d, %v), oracle %v %v", seed, u, v, w, ow, ok)
+				}
+			})
+		}
+		if halves != 2*len(oracle) {
+			t.Fatalf("seed %d: %d adjacency entries for %d edges", seed, halves, len(oracle))
+		}
+	}
+}
+
 func TestSelfLoopPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
